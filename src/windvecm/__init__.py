@@ -28,6 +28,7 @@ from .errors import (
     InvalidRankError,
     InvalidSpecError,
     NoOverlapError,
+    NonFiniteForecastError,
     ParseError,
     SchemaError,
     SingularDesignError,
@@ -93,6 +94,7 @@ __all__ = [
     "InvalidRankError",
     "InvalidSpecError",
     "NoOverlapError",
+    "NonFiniteForecastError",
     "ParseError",
     "SchemaError",
     "SingularDesignError",

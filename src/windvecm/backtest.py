@@ -21,10 +21,10 @@ from .errors import (
     InsufficientDataError,
     InsufficientRangeError,
     InvalidInputError,
+    NonFiniteForecastError,
     SingularDesignError,
     SingularMomentError,
 )
-from .metrics import combine_equal
 from .panel import DeterministicSpec, TimeSeriesPanel
 from .vecm import fit_vecm, forecast_vecm
 
@@ -36,7 +36,9 @@ DEFAULT_P_GRID = (1, 2, 3, 4, 5, 6, 7)
 WORKERS_ENV_VAR = "WINDVECM_WORKERS"
 
 #: Estimation failures recorded per origin instead of aborting a cell.
-_CELL_FAILURES = (InsufficientDataError, SingularDesignError, SingularMomentError)
+_CELL_FAILURES = (
+    InsufficientDataError, NonFiniteForecastError, SingularDesignError, SingularMomentError,
+)
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,6 @@ class CellRecord:
     T: int
     p: int
     r: int
-    n_failed: int
     mae: float | None
     mse: float | None
     per_origin_abs: np.ndarray
@@ -176,6 +177,10 @@ class CellRecord:
     @property
     def n_ok(self) -> int:
         return int(self.origins_ok.size)
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,51 +203,48 @@ class BacktestGridResult:
         raise KeyError((T, p, r))
 
 
-def _summarize_cell(T: int, p: int, r: int, cell: CellResult) -> CellRecord:
-    if cell.errors.shape[0]:
-        error_list = list(cell.errors)
-        cell_mae = metrics.mae(error_list)
-        cell_mse = metrics.mse(error_list)
-        abs_losses = metrics.per_origin_loss(error_list, "absolute")
-        sq_losses = metrics.per_origin_loss(error_list, "squared")
-    else:
-        cell_mae = cell_mse = None
-        abs_losses = np.zeros(0)
-        sq_losses = np.zeros(0)
-    return CellRecord(
-        T=T,
-        p=p,
-        r=r,
-        n_failed=len(cell.failures),
-        mae=cell_mae,
-        mse=cell_mse,
-        per_origin_abs=abs_losses,
-        per_origin_sq=sq_losses,
-        origins_ok=cell.origins_ok,
-        failures=cell.failures,
+def _scores(errors: np.ndarray):
+    """MAE, MSE and per-origin absolute/squared losses of an (N, H, d) cube.
+
+    An empty cube (every origin failed) scores (None, None, [], []).
+    """
+    if not errors.shape[0]:
+        return None, None, np.zeros(0), np.zeros(0)
+    return (
+        metrics.mae(errors),
+        metrics.mse(errors),
+        metrics.per_origin_loss(errors, "absolute"),
+        metrics.per_origin_loss(errors, "squared"),
     )
+
+
+def _grid_cell(
+    panel: TimeSeriesPanel,
+    origins: np.ndarray,
+    config: BacktestConfig,
+    key: tuple[int, int, int],
+) -> CellRecord:
+    """Run and score one (T, p, r) cell of a grid."""
+    T, p, r = key
+    cell = run_cell(
+        panel, T, p, r, origins, config.horizon,
+        det=config.det, clip_nonnegative=config.clip_nonnegative,
+    )
+    return CellRecord(T, p, r, *_scores(cell.errors), cell.origins_ok, cell.failures)
 
 
 # Worker-process state for parallel grid evaluation: the panel is shipped
 # once per worker instead of once per cell.
-_worker: dict = {}
+_worker_args: tuple = ()
 
 
-def _init_worker(values, timestamps, labels, origins, horizon, det_value, clip):
-    _worker["panel"] = TimeSeriesPanel(values, timestamps, labels)
-    _worker["origins"] = origins
-    _worker["horizon"] = horizon
-    _worker["det"] = DeterministicSpec(det_value)
-    _worker["clip"] = clip
+def _init_worker(panel: TimeSeriesPanel, origins: np.ndarray, config: BacktestConfig):
+    global _worker_args
+    _worker_args = (panel, origins, config)
 
 
-def _eval_cell(cell_key: tuple[int, int, int]) -> tuple[tuple[int, int, int], CellRecord]:
-    T, p, r = cell_key
-    result = run_cell(
-        _worker["panel"], T, p, r, _worker["origins"], _worker["horizon"],
-        det=_worker["det"], clip_nonnegative=_worker["clip"],
-    )
-    return cell_key, _summarize_cell(T, p, r, result)
+def _eval_cell(key: tuple[int, int, int]) -> CellRecord:
+    return _grid_cell(*_worker_args, key)
 
 
 def data_fingerprint(panel: TimeSeriesPanel) -> str:
@@ -286,28 +288,15 @@ def run_grid(
         for r in r_grid
     ]
     n_workers = default_workers() if workers is None else max(1, workers)
-    records_by_key: dict[tuple[int, int, int], CellRecord] = {}
     if n_workers == 1 or len(cells) == 1:
-        for key in cells:
-            T, p, r = key
-            cell = run_cell(
-                panel, T, p, r, origins, config.horizon,
-                det=config.det, clip_nonnegative=config.clip_nonnegative,
-            )
-            records_by_key[key] = _summarize_cell(T, p, r, cell)
+        records = tuple(_grid_cell(panel, origins, config, key) for key in cells)
     else:
-        init_args = (
-            np.asarray(panel.values), panel.timestamps, panel.labels,
-            origins, config.horizon, config.det.value, config.clip_nonnegative,
-        )
         with ProcessPoolExecutor(
             max_workers=min(n_workers, len(cells)),
             initializer=_init_worker,
-            initargs=init_args,
+            initargs=(panel, origins, config),
         ) as pool:
-            for key, record in pool.map(_eval_cell, cells):
-                records_by_key[key] = record
-    records = tuple(records_by_key[key] for key in cells)
+            records = tuple(pool.map(_eval_cell, cells))
     metadata = {
         "seed": config.seed,
         "data_fingerprint": data_fingerprint(panel),
@@ -427,60 +416,32 @@ def run_combination(
     """Evaluate models (p, r) A and B and their mean on identical origins.
 
     Origins where either component fails to fit are skipped for all three
-    forecasters, keeping the three loss series aligned.
+    forecasters, keeping the three loss series aligned. The combined error
+    is the mean of the two component errors, i.e. actual minus the mean path.
     """
-    origins = np.asarray(origins, dtype=int)
-    if origins.size and (origins.min() < T or origins.max() + horizon >= panel.n_obs):
-        raise InvalidInputError("every origin must satisfy o >= T and o + H < n_obs")
-    p_a, r_a = spec_a
-    p_b, r_b = spec_b
-    ok: list[int] = []
-    err_a: list[np.ndarray] = []
-    err_b: list[np.ndarray] = []
-    err_c: list[np.ndarray] = []
-    n_failed = 0
-    for o in origins:
-        window = panel.window(o - T + 1, o + 1)
-        try:
-            model_a = fit_vecm(window, p_a, r_a, det)
-            model_b = fit_vecm(window, p_b, r_b, det)
-            path_a = forecast_vecm(model_a, window, horizon, origin_index=o,
-                                   clip_nonnegative=clip_nonnegative)
-            path_b = forecast_vecm(model_b, window, horizon, origin_index=o,
-                                   clip_nonnegative=clip_nonnegative)
-        except _CELL_FAILURES:
-            n_failed += 1
-            continue
-        path_c = combine_equal([path_a, path_b])
-        actual = panel.values[o + 1 : o + 1 + horizon]
-        ok.append(int(o))
-        err_a.append(actual - path_a.values)
-        err_b.append(actual - path_b.values)
-        err_c.append(actual - path_c.values)
-    if not ok:
+    cell_a = run_cell(panel, T, *spec_a, origins, horizon, det, clip_nonnegative)
+    cell_b = run_cell(panel, T, *spec_b, origins, horizon, det, clip_nonnegative)
+    in_b = np.isin(cell_a.origins_ok, cell_b.origins_ok)
+    if not in_b.any():
         raise InsufficientDataError("every origin failed for the combination run")
-    abs_losses = {
-        "a": metrics.per_origin_loss(err_a, "absolute"),
-        "b": metrics.per_origin_loss(err_b, "absolute"),
-        "combined": metrics.per_origin_loss(err_c, "absolute"),
-    }
-    sq_losses = {
-        "a": metrics.per_origin_loss(err_a, "squared"),
-        "b": metrics.per_origin_loss(err_b, "squared"),
-        "combined": metrics.per_origin_loss(err_c, "squared"),
-    }
+    ok = cell_a.origins_ok[in_b]
+    e_a = cell_a.errors[in_b]
+    e_b = cell_b.errors[np.isin(cell_b.origins_ok, ok)]
+    mae_a, mse_a, abs_a, sq_a = _scores(e_a)
+    mae_b, mse_b, abs_b, sq_b = _scores(e_b)
+    mae_c, mse_c, abs_c, sq_c = _scores((e_a + e_b) / 2)
     return CombinationResult(
         spec_a=spec_a,
         spec_b=spec_b,
         T=T,
-        origins_ok=np.asarray(ok, dtype=int),
-        n_failed=n_failed,
-        mae_a=metrics.mae(err_a),
-        mae_b=metrics.mae(err_b),
-        mae_combined=metrics.mae(err_c),
-        mse_a=metrics.mse(err_a),
-        mse_b=metrics.mse(err_b),
-        mse_combined=metrics.mse(err_c),
-        abs_losses=abs_losses,
-        sq_losses=sq_losses,
+        origins_ok=ok,
+        n_failed=len(origins) - ok.size,
+        mae_a=mae_a,
+        mae_b=mae_b,
+        mae_combined=mae_c,
+        mse_a=mse_a,
+        mse_b=mse_b,
+        mse_combined=mse_c,
+        abs_losses={"a": abs_a, "b": abs_b, "combined": abs_c},
+        sq_losses={"a": sq_a, "b": sq_b, "combined": sq_c},
     )

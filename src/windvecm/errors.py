@@ -39,6 +39,10 @@ class SingularMomentError(WindVecmError):
     """A product-moment matrix in the reduced-rank step is singular."""
 
 
+class NonFiniteForecastError(WindVecmError):
+    """A forecast recursion overflowed or produced NaN."""
+
+
 class InvalidRankError(WindVecmError):
     """Requested cointegrating rank outside [0, d]."""
 

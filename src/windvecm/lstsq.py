@@ -1,12 +1,15 @@
 """Shared multivariate least-squares solve with a condition guard.
 
-All estimators route through :func:`solve_ls` so that near-singular designs
-fail identically everywhere: a rank-revealing (SVD) solve is used, and when
-the condition number exceeds the threshold the solve is rejected instead of
+Every coefficient estimate (the VAR fit and the final regression of the VECM
+fit) routes through :func:`solve_ls` so that near-singular designs fail
+identically everywhere: a rank-revealing (SVD) solve is used, and when the
+condition number exceeds the threshold the solve is rejected instead of
 silently regularized. The one exception is an exactly consistent system
 (residuals numerically zero), where the minimum-norm solution reproduces the
 data and every forecast derived from it; such degenerate-but-exact fits are
-accepted so that noiseless panels remain usable.
+accepted so that noiseless panels remain usable. The VECM concentration step
+needs only residuals, whose projection is well defined for any design, so it
+calls ``np.linalg.lstsq`` directly, without the guard.
 """
 
 from __future__ import annotations

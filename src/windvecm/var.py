@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, InsufficientHistoryError, InvalidInputError
+from .errors import (
+    InsufficientDataError,
+    InsufficientHistoryError,
+    InvalidInputError,
+    NonFiniteForecastError,
+)
 from .lstsq import DEFAULT_CONDITION_LIMIT, solve_ls
 from .metrics import ForecastPath
 from .panel import DeterministicSpec, TimeSeriesPanel, build_design
@@ -111,7 +116,9 @@ def forecast_var(
     Predicted values replace unobserved lags as the recursion advances. The
     returned path is H x d. ``clip_nonnegative`` floors the *reported* path
     at 0 MW; the recursion itself is never clipped, so the linear model the
-    metrics evaluate is unchanged except for the final floor.
+    metrics evaluate is unchanged except for the final floor. A recursion
+    that overflows or yields NaN raises `NonFiniteForecastError`, before
+    the floor could hide it.
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
@@ -135,6 +142,8 @@ def forecast_var(
             acc = acc + const
         out[h] = acc
         lags = [acc] + lags[:-1]
+    if not np.isfinite(out).all():
+        raise NonFiniteForecastError("forecast recursion produced non-finite values")
     if clip_nonnegative:
         out = np.maximum(out, 0.0)
     origin = history.n_obs - 1 if origin_index is None else origin_index

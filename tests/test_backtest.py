@@ -111,6 +111,25 @@ def test_full_rank_cell_matches_direct_var_cell():
     assert np.abs(cell.errors - np.asarray(direct)).max() <= 1e-8
 
 
+def test_overflowing_forecast_is_a_recorded_failure():
+    # An explosive stretch fitted at origin 39 forecasts past float range;
+    # that origin must be recorded, not abort the cell or the grid.
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal((260, 2)).cumsum(axis=0)
+    k = np.arange(20)[:, None]
+    noise = np.random.default_rng(2).standard_normal((20, 2))
+    values[20:40] = np.array([50.0, 40.0]) ** k * (1 + 0.01 * noise)
+    panel = TimeSeriesPanel.from_values(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell = run_cell(panel, T=20, p=1, r=1, origins=[39, 45], horizon=200)
+        assert cell.failures == ((39, "NonFiniteForecastError"),)
+        assert cell.origins_ok.tolist() == [45]
+        config = BacktestConfig(T_grid=(20,), p_grid=(1,), r_grid=(1,),
+                                horizon=200, n_origins=1, seed=0)
+        result = run_grid(panel, config)
+    assert len(result.records) == 1
+
+
 def test_run_cell_validates_origin_range():
     panel = generate(random_walk_spec(2, 120, seed=0))
     with pytest.raises(InvalidInputError):
@@ -167,15 +186,36 @@ def test_grid_deterministic_and_shared_origins():
     assert a.metadata["data_fingerprint"] == b.metadata["data_fingerprint"]
 
 
+def _partly_constant_panel() -> TimeSeriesPanel:
+    # A random walk with a constant stretch: fits whose window lies in the
+    # stretch fail, so grid cells and combinations see partial failures.
+    values = np.random.default_rng(3).standard_normal((400, 2)).cumsum(axis=0)
+    values[100:200] = 5.0
+    return TimeSeriesPanel.from_values(values)
+
+
 def test_grid_parallel_matches_serial():
-    spec = cointegrated_spec(d=2, r_true=1, n_obs=400, seed=1)
-    panel = generate(spec)
-    config = BacktestConfig(T_grid=(96,), p_grid=(1, 2), r_grid=(0, 1, 2),
-                            horizon=4, n_origins=10, seed=1, det=CONST)
-    serial = run_grid(panel, config, workers=1)
-    parallel = run_grid(panel, config, workers=2)
-    for ra, rb in zip(serial.records, parallel.records):
-        assert ra.mae == rb.mae and ra.mse == rb.mse
+    # The second input exercises the whole config in the pool: no constant,
+    # clipped paths, and failing origins.
+    cases = [
+        (generate(cointegrated_spec(d=2, r_true=1, n_obs=400, seed=1)),
+         BacktestConfig(T_grid=(96,), p_grid=(1, 2), r_grid=(0, 1, 2),
+                        horizon=4, n_origins=10, seed=1, det=CONST)),
+        (_partly_constant_panel(),
+         BacktestConfig(T_grid=(30,), p_grid=(1, 2), r_grid=(0, 1, 2),
+                        horizon=8, n_origins=40, seed=4, det=NONE,
+                        clip_nonnegative=True)),
+    ]
+    for panel, config in cases:
+        serial = run_grid(panel, config, workers=1)
+        parallel = run_grid(panel, config, workers=2)
+        for ra, rb in zip(serial.records, parallel.records, strict=True):
+            assert (ra.T, ra.p, ra.r) == (rb.T, rb.p, rb.r)
+            assert ra.n_ok == rb.n_ok and ra.failures == rb.failures
+            assert ra.mae == rb.mae and ra.mse == rb.mse
+            assert np.array_equal(ra.per_origin_abs, rb.per_origin_abs)
+            assert np.array_equal(ra.per_origin_sq, rb.per_origin_sq)
+    assert sum(rec.n_failed for rec in serial.records) > 0
 
 
 def test_per_origin_losses_account_for_failures():
@@ -300,3 +340,20 @@ def test_combination_reports_all_three_models():
     for name in ("a", "b", "combined"):
         assert result.abs_losses[name].shape == (30,)
         assert result.sq_losses[name].shape == (30,)
+
+
+def test_combination_with_partial_failures_matches_cells():
+    panel = _partly_constant_panel()
+    origins = np.arange(130, 260, 5)
+    result = run_combination(panel, 30, (2, 0), (2, 1), origins, 8, det=NONE)
+    assert result.n_failed == 15
+    assert result.origins_ok.size == 11
+    for name, (p, r) in (("a", (2, 0)), ("b", (2, 1))):
+        cell = run_cell(panel, 30, p, r, origins, 8, det=NONE)
+        keep = np.isin(cell.origins_ok, result.origins_ok)
+        assert np.array_equal(cell.origins_ok[keep], result.origins_ok)
+        errors = cell.errors[keep]
+        assert np.array_equal(result.abs_losses[name], np.abs(errors).sum(axis=(1, 2)))
+        assert np.array_equal(result.sq_losses[name], (errors**2).sum(axis=(1, 2)))
+    for losses in (result.abs_losses, result.sq_losses):
+        assert {losses[name].shape for name in losses} == {(11,)}
