@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import (
     InsufficientDataError,
     InsufficientHistoryError,
@@ -76,6 +77,7 @@ def companion_matrix(phi: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarr
     return comp
 
 
+@one_blas_thread()
 def fit_var(
     panel: TimeSeriesPanel,
     p: int,
@@ -134,14 +136,16 @@ def forecast_var(
     m = model.det.n_terms
     const = model.psi[:, 0] if m else None
     out = np.empty((horizon, model.d))
-    for h in range(horizon):
-        acc = np.zeros(model.d)
-        for k in range(model.p):
-            acc += model.phi[k] @ lags[k]
-        if const is not None:
-            acc = acc + const
-        out[h] = acc
-        lags = [acc] + lags[:-1]
+    # An explosive model overflows here; that is reported just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(horizon):
+            acc = np.zeros(model.d)
+            for k in range(model.p):
+                acc += model.phi[k] @ lags[k]
+            if const is not None:
+                acc = acc + const
+            out[h] = acc
+            lags = [acc] + lags[:-1]
     if not np.isfinite(out).all():
         raise NonFiniteForecastError("forecast recursion produced non-finite values")
     if clip_nonnegative:

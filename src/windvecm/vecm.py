@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
+from ._blas import one_blas_thread
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -126,11 +126,12 @@ def _johansen_eigen(
     except np.linalg.LinAlgError:
         raise SingularMomentError("product-moment matrix S11 is singular") from None
     try:
-        c00 = sla.cho_factor(s00, lower=True)
+        l00 = np.linalg.cholesky(s00)
     except np.linalg.LinAlgError:
         raise SingularMomentError("product-moment matrix S00 is singular") from None
-    mid = s01.T @ sla.cho_solve(c00, s01)  # S10 S00^-1 S01
-    l_inv = sla.solve_triangular(l11, np.eye(d), lower=True)
+    half = np.linalg.solve(l00, s01)
+    mid = half.T @ half  # S10 S00^-1 S01
+    l_inv = np.linalg.solve(l11, np.eye(d))
     sym = l_inv @ mid @ l_inv.T
     sym = 0.5 * (sym + sym.T)
     lam, w = np.linalg.eigh(sym)
@@ -142,6 +143,7 @@ def _johansen_eigen(
     return lam, vectors
 
 
+@one_blas_thread()
 def fit_vecm(
     panel: TimeSeriesPanel,
     p: int,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,9 @@ def test_overflowing_forecast_is_a_recorded_failure():
     noise = np.random.default_rng(2).standard_normal((20, 2))
     values[20:40] = np.array([50.0, 40.0]) ** k * (1 + 0.01 * noise)
     panel = TimeSeriesPanel.from_values(values)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # The overflow is reported as a failure, not as a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cell = run_cell(panel, T=20, p=1, r=1, origins=[39, 45], horizon=200)
         assert cell.failures == ((39, "NonFiniteForecastError"),)
         assert cell.origins_ok.tolist() == [45]

@@ -1,0 +1,106 @@
+"""Fits run on one OpenBLAS thread; the import path carries no scipy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import windvecm
+from windvecm import _blas, cointegrated_spec, fit_var, fit_vecm, generate
+from windvecm import var as var_mod
+from windvecm import vecm as vecm_mod
+
+needs_openblas = pytest.mark.skipif(
+    _blas.get_num_threads() is None, reason="numpy's bundled OpenBLAS not found"
+)
+
+SRC = str(Path(windvecm.__file__).resolve().parents[1])
+
+
+def run_python(code: str, **env) -> str:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """An unset thread environment and a count of 2 outside any fit."""
+    for name in _blas._ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    _, set_threads = _blas._openblas()
+    before = _blas.get_num_threads()
+    set_threads(2)
+    yield set_threads
+    set_threads(before)
+
+
+def spy_on_solve_ls(monkeypatch, module) -> list:
+    """Record the thread count each time ``module`` calls solve_ls."""
+    seen = []
+    real = module.solve_ls
+
+    def spy(*args, **kwargs):
+        seen.append(_blas.get_num_threads())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "solve_ls", spy)
+    return seen
+
+
+@needs_openblas
+def test_fits_run_on_one_thread_and_restore_the_count(two_threads, monkeypatch):
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=0))
+    in_vecm = spy_on_solve_ls(monkeypatch, vecm_mod)
+    in_var = spy_on_solve_ls(monkeypatch, var_mod)
+    fit_vecm(panel, p=2, r=1)
+    assert _blas.get_num_threads() == 2
+    fit_var(panel, p=2)
+    assert _blas.get_num_threads() == 2
+    assert in_vecm == [1] and in_var == [1]
+    with pytest.raises(windvecm.InsufficientDataError):
+        fit_vecm(panel.window(0, 5), p=2, r=1)
+    assert _blas.get_num_threads() == 2
+
+
+@needs_openblas
+def test_nested_scope_restores_the_outer_value(two_threads):
+    with _blas.one_blas_thread():
+        assert _blas.get_num_threads() == 1
+        two_threads(3)
+        with _blas.one_blas_thread():
+            assert _blas.get_num_threads() == 1
+        assert _blas.get_num_threads() == 3
+    assert _blas.get_num_threads() == 2
+
+
+@needs_openblas
+def test_user_thread_setting_is_kept_inside_a_fit():
+    code = (
+        "from windvecm import _blas, cointegrated_spec, fit_vecm, generate\n"
+        "from windvecm import vecm\n"
+        "real = vecm.solve_ls\n"
+        "def spy(*a, **k):\n"
+        "    print(_blas.get_num_threads())\n"
+        "    return real(*a, **k)\n"
+        "vecm.solve_ls = spy\n"
+        "print(_blas.get_num_threads())\n"
+        "fit_vecm(generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=0)), p=2, r=1)\n"
+    )
+    # OpenBLAS caps the variable at the core count.
+    expected = str(min(2, os.cpu_count()))
+    assert run_python(code, OPENBLAS_NUM_THREADS="2").split() == [expected, expected]
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, windvecm, windvecm.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert run_python(code) == "[]"

@@ -173,6 +173,20 @@ def test_dm_pvalues_uniform_under_null():
     assert ks.pvalue > 0.01
 
 
+def test_dm_pvalue_matches_two_sided_normal_tail():
+    from scipy import stats
+
+    e = np.random.default_rng(5).standard_normal(100)
+    e = (e - e.mean()) / e.std()
+    statistics = []
+    for shift in np.linspace(-0.8, 0.8, 161):  # |statistic| = 10 |shift|
+        result = dm_test(e + shift, np.zeros(100))
+        expected = 2.0 * stats.norm.sf(abs(result.statistic))
+        assert abs(result.p_value - expected) <= 1e-13 * expected
+        statistics.append(abs(result.statistic))
+    assert min(statistics) < 1e-12 and max(statistics) > 7.99
+
+
 def test_metrics_strictly_positive_on_nonzero_errors():
     errors = [np.zeros((3, 2)), np.array([[0.0, 0.0], [0.0, 1e-9], [0.0, 0.0]])]
     assert mae(errors) > 0.0

@@ -77,19 +77,48 @@ def test_full_rank_matches_var_one_step():
     assert np.abs(f_vecm - f_var).max() <= 1e-8
 
 
+def concentrated_moments(panel, p, det):
+    """S00, S01, S11 rebuilt from the concentration step definition."""
+    from windvecm.panel import build_design
+
+    design = build_design(panel, p, det)
+    z = np.hstack([design.diff_lag_block, design.deterministic_block])
+    r0 = design.diff_response - z @ np.linalg.lstsq(z, design.diff_response, rcond=None)[0]
+    r1 = design.lagged_level - z @ np.linalg.lstsq(z, design.lagged_level, rcond=None)[0]
+    n = design.effective_n
+    return r0.T @ r0 / n, r0.T @ r1 / n, r1.T @ r1 / n
+
+
 def test_beta_normalization_is_s11_orthonormal():
     spec = cointegrated_spec(d=4, r_true=2, n_obs=1200, seed=4)
     panel = generate(spec)
     model = fit_vecm(panel, p=2, r=2, det=CONST)
-    # reconstruct S11 from the concentration step definition
-    from windvecm.panel import build_design
-
-    design = build_design(panel, 2, CONST)
-    z = np.hstack([design.diff_lag_block, design.deterministic_block])
-    r1 = design.lagged_level - z @ np.linalg.lstsq(z, design.lagged_level, rcond=None)[0]
-    s11 = r1.T @ r1 / design.effective_n
+    _, _, s11 = concentrated_moments(panel, 2, CONST)
     gram = model.beta.T @ s11 @ model.beta
     assert np.abs(gram - np.eye(2)).max() <= 1e-8
+
+
+def test_eigenvalues_match_generalized_symmetric_solver():
+    # Oracle for the Cholesky reduction: a direct generalized solve of
+    # S10 S00^-1 S01 v = lambda S11 v.
+    from scipy.linalg import eigh
+
+    panel = generate(cointegrated_spec(d=4, r_true=2, n_obs=800, seed=8))
+    s00, s01, s11 = concentrated_moments(panel, 3, CONST)
+    expected = eigh(s01.T @ np.linalg.solve(s00, s01), s11, eigvals_only=True)[::-1]
+    for r in range(5):
+        model = fit_vecm(panel, p=3, r=r, det=CONST)
+        assert np.abs(model.eigenvalues - expected).max() <= 1e-10
+
+
+def test_residual_determinant_identity():
+    # Johansen: det(resid_cov_r) = det(S00) * prod_{i<=r} (1 - lambda_i).
+    panel = generate(cointegrated_spec(d=4, r_true=2, n_obs=800, seed=8))
+    s00, _, _ = concentrated_moments(panel, 3, CONST)
+    for r in range(5):
+        model = fit_vecm(panel, p=3, r=r, det=CONST)
+        expected = np.linalg.det(s00) * np.prod(1.0 - model.eigenvalues[:r])
+        assert abs(np.linalg.det(model.resid_cov) / expected - 1.0) <= 1e-10
 
 
 def test_forecasts_invariant_to_cointegration_basis_rotation():
