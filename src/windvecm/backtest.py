@@ -10,7 +10,6 @@ fits are recorded as failures, never replaced by substitute forecasts.
 from __future__ import annotations
 
 import hashlib
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ from .vecm import fit_vecm, forecast_vecm
 DEFAULT_T_GRID = (96, 192, 384, 768, 1536, 3072)
 DEFAULT_P_GRID = (1, 2, 3, 4, 5, 6, 7)
 
-WORKERS_ENV_VAR = "WINDVECM_WORKERS"
 
 #: Estimation failures recorded per origin instead of aborting a cell.
 _CELL_FAILURES = (
@@ -256,18 +254,10 @@ def data_fingerprint(panel: TimeSeriesPanel) -> str:
     return h.hexdigest()
 
 
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_grid(
     panel: TimeSeriesPanel,
     config: BacktestConfig,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> BacktestGridResult:
     """Evaluate every (T, p, r) cell on one shared origin set.
 
@@ -287,7 +277,7 @@ def run_grid(
         for p in config.p_grid
         for r in r_grid
     ]
-    n_workers = default_workers() if workers is None else max(1, workers)
+    n_workers = max(1, workers)
     if n_workers == 1 or len(cells) == 1:
         records = tuple(_grid_cell(panel, origins, config, key) for key in cells)
     else:

@@ -313,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--clip0", action="store_true",
                     help="floor forecasts at 0 MW")
     bt.add_argument("--metric", choices=["mae", "mse", "both"], default="both")
-    bt.add_argument("--workers", type=int, default=None,
-                    help="parallel cell workers (default $WINDVECM_WORKERS or 1)")
+    bt.add_argument("--workers", type=int, default=1,
+                    help="parallel cell worker processes (default 1, serial)")
     bt.add_argument("--out", required=True, help="output directory")
     bt.set_defaults(func=cmd_backtest)
 

@@ -7,7 +7,10 @@ Two canonical shapes are accepted, autodetected from the header row:
 
 Comma and semicolon delimiters are autodetected. Timestamps are ISO 8601,
 with or without a zone offset; offsets are normalized to UTC and naive
-timestamps are taken as already UTC. Duplicate (timestamp, region) readings
+timestamps are taken as already UTC. The grid step is fixed at 15 minutes:
+a timestamp that, in UTC, does not fall on :00, :15, :30 or :45 raises
+``ParseError`` with its line number, and a region whose values are all
+missing raises ``SchemaError``. Duplicate (timestamp, region) readings
 (clock-change exports) are averaged; interior gaps of at most
 ``max_gap_slots`` grid steps are filled linearly; anything longer leaves the
 rows incomplete and the longest contiguous run of complete rows is returned,
@@ -17,6 +20,7 @@ so the output always satisfies the uniform-grid/no-missing panel contract.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NoOverlapError, ParseError, SchemaError
-from .panel import TimeSeriesPanel
+from .panel import QUARTER_HOUR, TimeSeriesPanel
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "-"}
 
@@ -35,7 +39,6 @@ class IngestOptions:
 
     max_gap_slots: int = 8           # 8 quarter-hours = 2 h
     expected_regions: int | None = None
-    step_minutes: int = 15
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,8 @@ class IngestReport:
     rows_dropped: int
 
 
-def _parse_timestamp(token: str, line_no: int) -> np.datetime64:
+def _parse_timestamp(token: str, line_no: int) -> datetime:
+    """Naive UTC instant of an ISO 8601 token that falls on a quarter-hour."""
     text = token.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -60,13 +64,16 @@ def _parse_timestamp(token: str, line_no: int) -> np.datetime64:
         raise ParseError(f"unparseable timestamp {token!r}", line=line_no) from None
     if stamp.tzinfo is not None:
         stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
-    return np.datetime64(stamp, "s")
+    if stamp.minute % 15 or stamp.second or stamp.microsecond:
+        raise ParseError(f"timestamp {token!r} is not on a quarter-hour", line=line_no)
+    return stamp
 
 
-def _parse_value(token: str, line_no: int) -> float | None:
+def _parse_value(token: str, line_no: int) -> float:
+    """The reading of a value token; NaN when it marks a missing value."""
     text = token.strip()
     if text.lower() in _MISSING_TOKENS:
-        return None
+        return math.nan
     try:
         return float(text)
     except ValueError:
@@ -79,8 +86,9 @@ def _sniff_delimiter(header_line: str) -> str:
     return ","
 
 
-def _read_file(path: Path, cells: dict[str, dict[np.datetime64, list[float]]]) -> int:
-    """Accumulate (region -> timestamp -> readings); returns data rows read."""
+def _read_file(path: Path, stamps: list, labels: list, values: list) -> int:
+    """Append every reading of one file to the three flat lists; returns
+    the number of data rows read. A missing value is appended as NaN."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header_line = fh.readline()
         if not header_line.strip():
@@ -88,65 +96,46 @@ def _read_file(path: Path, cells: dict[str, dict[np.datetime64, list[float]]]) -
         delim = _sniff_delimiter(header_line)
         header = [h.strip() for h in header_line.rstrip("\r\n").split(delim)]
         lowered = [h.lower() for h in header]
-        reader = csv.reader(fh, delimiter=delim)
-        rows = 0
         if lowered == ["timestamp", "region", "value"]:
-            for line_no, row in enumerate(reader, start=2):
-                if not row or not "".join(row).strip():
-                    continue
-                if len(row) != 3:
-                    raise ParseError(
-                        f"expected 3 fields, found {len(row)}", line=line_no
-                    )
-                ts = _parse_timestamp(row[0], line_no)
-                region = row[1].strip()
-                if not region:
-                    raise ParseError("empty region label", line=line_no)
-                value = _parse_value(row[2], line_no)
-                if value is not None:
-                    cells.setdefault(region, {}).setdefault(ts, []).append(value)
-                rows += 1
+            regions = None
         elif lowered and lowered[0] == "timestamp" and len(header) >= 2:
             regions = header[1:]
             if any(not r for r in regions):
                 raise ParseError("empty region label in header", line=1)
-            for line_no, row in enumerate(reader, start=2):
-                if not row or not "".join(row).strip():
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(
-                        f"expected {len(header)} fields, found {len(row)}",
-                        line=line_no,
-                    )
-                ts = _parse_timestamp(row[0], line_no)
-                for region, token in zip(regions, row[1:]):
-                    value = _parse_value(token, line_no)
-                    if value is not None:
-                        cells.setdefault(region, {}).setdefault(ts, []).append(value)
-                rows += 1
         else:
             raise ParseError(
                 "unknown header; expected 'timestamp,region,value' or "
                 "'timestamp,<region>,...'",
                 line=1,
             )
+        rows = 0
+        for line_no, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
+            if not row or not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, found {len(row)}", line=line_no
+                )
+            ts = _parse_timestamp(row[0], line_no)
+            if regions is None:
+                region = row[1].strip()
+                if not region:
+                    raise ParseError("empty region label", line=line_no)
+                pairs = ((region, row[2]),)
+            else:
+                pairs = zip(regions, row[1:])
+            for region, token in pairs:
+                stamps.append(ts)
+                labels.append(region)
+                values.append(_parse_value(token, line_no))
+            rows += 1
         return rows
 
 
-def _longest_complete_run(complete: np.ndarray) -> tuple[int, int]:
-    """(start, stop) of the earliest longest True run."""
-    best_start, best_len = 0, 0
-    run_start, run_len = 0, 0
-    for i, flag in enumerate(complete):
-        if flag:
-            if run_len == 0:
-                run_start = i
-            run_len += 1
-            if run_len > best_len:
-                best_start, best_len = run_start, run_len
-        else:
-            run_len = 0
-    return best_start, best_start + best_len
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, stops) of the True runs of a 1-D mask, in order."""
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
 def load_panel(
@@ -160,76 +149,72 @@ def load_panel(
     options = options or IngestOptions()
     if isinstance(paths, (str, Path)):
         paths = [paths]
-    cells: dict[str, dict[np.datetime64, list[float]]] = {}
+    stamps: list[datetime] = []
+    labels: list[str] = []
+    readings: list[float] = []
     rows_read = 0
     for path in paths:
-        rows_read += _read_file(Path(path), cells)
-    regions = tuple(sorted(cells))
-    if not regions:
+        rows_read += _read_file(Path(path), stamps, labels, readings)
+    if not labels:
         raise SchemaError("no regions found in input")
+    names, column = np.unique(labels, return_inverse=True)
+    regions = tuple(names.tolist())
     if options.expected_regions is not None and len(regions) != options.expected_regions:
         raise SchemaError(
             f"expected {options.expected_regions} regions, found {len(regions)}"
         )
 
-    duplicates = 0
-    per_region: dict[str, dict[np.datetime64, float]] = {}
-    for region in regions:
-        resolved = {}
-        for ts, readings in cells[region].items():
-            if len(readings) > 1:
-                duplicates += len(readings) - 1
-            resolved[ts] = float(np.mean(readings))
-        if not resolved:
-            raise SchemaError(f"region {region!r} has no usable values")
-        per_region[region] = resolved
+    # one cell per distinct (region, timestamp); its readings are averaged
+    readings = np.array(readings)
+    present = ~np.isnan(readings)
+    seconds = np.array(stamps, dtype="datetime64[s]").view(np.int64)
+    keys = np.column_stack((column, seconds))[present]
+    readings = readings[present]
+    cells, inverse, counts = np.unique(
+        keys, axis=0, return_inverse=True, return_counts=True
+    )
+    inverse = inverse.reshape(-1)
+    sums = np.zeros(len(cells))
+    np.add.at(sums, inverse, readings)
+    means = sums / counts
+    # np.mean sums eight or more readings pairwise; match it exactly there
+    for k in np.flatnonzero(counts >= 8):
+        means[k] = np.mean(readings[inverse == k])
+    duplicates = len(readings) - len(cells)
 
-    start = max(min(r.keys()) for r in per_region.values())
-    end = min(max(r.keys()) for r in per_region.values())
+    cell_column, cell_seconds = cells.T
+    per_region = np.bincount(cell_column, minlength=len(regions))
+    if not per_region.all():
+        empty = regions[int(np.argmin(per_region))]
+        raise SchemaError(f"region {empty!r} has no usable values")
+    first = np.cumsum(per_region) - per_region   # cells sort by region, then time
+    start = cell_seconds[first].max()
+    end = cell_seconds[first + per_region - 1].min()
     if start > end:
         raise NoOverlapError("input series share no common coverage")
-    step = np.timedelta64(options.step_minutes * 60, "s")
-    grid = np.arange(start, end + step, step)
-    n, d = grid.size, len(regions)
+    step = int(QUARTER_HOUR / np.timedelta64(1, "s"))
+    n, d = (end - start) // step + 1, len(regions)
+    grid = (start + step * np.arange(n)).astype("datetime64[s]")
 
     values = np.full((n, d), np.nan)
-    for j, region in enumerate(regions):
-        for ts, value in per_region[region].items():
-            offset = (ts - start) // step
-            if 0 <= offset < n and start + offset * step == ts:
-                values[int(offset), j] = value
+    on_grid = (cell_seconds >= start) & (cell_seconds <= end)
+    values[(cell_seconds[on_grid] - start) // step, cell_column[on_grid]] = means[on_grid]
 
     gaps_filled = 0
-    for j in range(d):
-        col = values[:, j]
-        missing = np.isnan(col)
-        if not missing.any():
-            continue
-        observed = np.flatnonzero(~missing)
-        if observed.size == 0:
-            continue
-        i = 0
-        while i < n:
-            if not missing[i]:
-                i += 1
-                continue
-            run_start = i
-            while i < n and missing[i]:
-                i += 1
-            run_len = i - run_start
-            # interior runs only: never extrapolate beyond observed endpoints
-            if run_start == 0 or i == n or run_len > options.max_gap_slots:
-                continue
-            lo, hi = run_start - 1, i
-            frac = (np.arange(run_start, i) - lo) / (hi - lo)
-            col[run_start:i] = col[lo] + frac * (col[hi] - col[lo])
-            gaps_filled += run_len
-        values[:, j] = col
+    for col in values.T:
+        starts, stops = _runs(np.isnan(col))
+        # interior runs only: never extrapolate beyond observed endpoints
+        fill = (starts > 0) & (stops < n) & (stops - starts <= options.max_gap_slots)
+        for lo, hi in zip(starts[fill] - 1, stops[fill]):
+            frac = (np.arange(lo + 1, hi) - lo) / (hi - lo)
+            col[lo + 1 : hi] = col[lo] + frac * (col[hi] - col[lo])
+            gaps_filled += int(hi - lo - 1)
 
-    complete = ~np.isnan(values).any(axis=1)
-    if not complete.any():
+    starts, stops = _runs(~np.isnan(values).any(axis=1))
+    if not starts.size:
         raise NoOverlapError("no complete rows remain after gap handling")
-    lo, hi = _longest_complete_run(complete)
+    longest = int(np.argmax(stops - starts))   # the earliest of the longest
+    lo, hi = starts[longest], stops[longest]
     rows_dropped = int(n - (hi - lo))
 
     panel = TimeSeriesPanel(values[lo:hi], grid[lo:hi], regions)

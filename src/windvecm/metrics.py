@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -48,17 +48,19 @@ class ForecastPath:
         return self.values.shape[1]
 
 
-def _stack_errors(errors: Iterable[np.ndarray]) -> np.ndarray:
-    mats = [np.asarray(e, dtype=float) for e in errors]
-    if not mats:
+def _stack_errors(errors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    try:
+        cube = np.asarray(errors, dtype=float)  # (N, H, d)
+    except ValueError:
+        raise InvalidInputError(
+            "error matrices must be numeric and share one H x d shape"
+        ) from None
+    if not len(cube):
         raise InvalidInputError("empty error collection")
-    shape = mats[0].shape
-    if any(m.shape != shape for m in mats):
-        raise InvalidInputError("error matrices must share one H x d shape")
-    return np.stack(mats)  # (N, H, d)
+    return cube
 
 
-def mae(errors: Iterable[np.ndarray]) -> float:
+def mae(errors: Sequence[np.ndarray] | np.ndarray) -> float:
     """Multivariate mean absolute error over per-origin H x d error matrices.
 
     sum_n sum_h ||e[n, h, :]||_1 / (N * H).
@@ -68,14 +70,14 @@ def mae(errors: Iterable[np.ndarray]) -> float:
     return float(np.abs(e).sum() / (n * h))
 
 
-def mse(errors: Iterable[np.ndarray]) -> float:
+def mse(errors: Sequence[np.ndarray] | np.ndarray) -> float:
     """Multivariate mean squared error: squared L2 norms averaged over N*H."""
     e = _stack_errors(errors)
     n, h = e.shape[0], e.shape[1]
     return float((e**2).sum() / (n * h))
 
 
-def per_origin_loss(errors: Iterable[np.ndarray], kind: str) -> np.ndarray:
+def per_origin_loss(errors: Sequence[np.ndarray] | np.ndarray, kind: str) -> np.ndarray:
     """One aggregated loss per origin: norms summed over horizons.
 
     ``kind`` is "absolute" (L1) or "squared" (squared L2). This is the

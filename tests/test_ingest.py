@@ -1,5 +1,12 @@
+import dataclasses
+import tempfile
+from datetime import datetime, timedelta
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windvecm import (
     IngestOptions,
@@ -205,3 +212,118 @@ def test_wide_roundtrip_is_value_exact(tmp_path):
     out2 = tmp_path / "round2.csv"
     save_wide(back, out2)
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_region_with_every_value_missing_is_a_schema_error(tmp_path):
+    path = write(tmp_path, "na.csv", "\n".join([
+        "timestamp,east,west",
+        "2020-01-01T00:00,1,NA",
+        "2020-01-01T00:15,2,NA",
+        "2020-01-01T00:30,3,NA",
+    ]))
+    with pytest.raises(SchemaError, match="'west' has no usable values"):
+        load_panel([path])
+
+
+@pytest.mark.parametrize("lines, bad_line", [
+    # between two readings of the same region
+    (["2020-01-01T00:00,a,1", "2020-01-01T00:07,a,9", "2020-01-01T00:15,a,2"], 3),
+    # the first reading of region b, which would set the grid's start
+    (["2020-01-01T00:00,a,1", "2020-01-01T00:15,a,2", "2020-01-01T00:30,a,3",
+      "2020-01-01T00:07,b,9", "2020-01-01T00:15,b,5", "2020-01-01T00:30,b,6"], 5),
+    (["2020-01-01T00:00:30,a,1", "2020-01-01T00:15,a,2"], 2),
+])
+def test_reading_off_the_quarter_hour_is_a_parse_error(tmp_path, lines, bad_line):
+    path = write(tmp_path, "q.csv", "\n".join(["timestamp,region,value", *lines]))
+    with pytest.raises(ParseError, match="not on a quarter-hour") as err:
+        load_panel([path])
+    assert err.value.line == bad_line
+
+
+def test_offset_that_lands_on_the_quarter_hour_in_utc_is_accepted(tmp_path):
+    path = write(tmp_path, "np.csv", "\n".join([
+        "timestamp,region,value",
+        "2020-01-01T05:45+05:45,a,1",
+        "2020-01-01T00:15Z,a,2",
+    ]))
+    panel, _ = load_panel([path])
+    assert str(panel.timestamps[0]) == "2020-01-01T00:00:00"
+    assert np.array_equal(panel.values.ravel(), [1.0, 2.0])
+
+
+_T0 = datetime(2020, 3, 29)
+_ZONES = (
+    lambda t: t.isoformat(),
+    lambda t: t.isoformat() + "Z",
+    lambda t: (t + timedelta(hours=1)).isoformat() + "+01:00",
+)
+
+
+@st.composite
+def _readings(draw):
+    """Labels and rows (instant, one value or NaN per region) of a small
+    panel with short interior gaps, dropped instants and duplicated rows."""
+    labels = draw(st.lists(st.sampled_from(["de", "dk", "nl", "be"]),
+                           min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(3, 12))
+    value = st.floats(-1e4, 1e4, allow_nan=False, allow_subnormal=False)
+    values = np.array(draw(st.lists(
+        st.lists(value, min_size=len(labels), max_size=len(labels)),
+        min_size=n, max_size=n,
+    )))
+    interior = st.integers(1, n - 2)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, length = draw(interior), draw(st.integers(0, len(labels) - 1)), draw(st.integers(1, 2))
+        values[i : min(i + length, n - 1), j] = np.nan
+    dropped = draw(st.sets(interior, max_size=2))
+    rows = []
+    for i in range(n):
+        if i in dropped:
+            continue
+        stamp = _T0 + timedelta(minutes=15 * i)
+        rows.append((stamp, values[i]))
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append((stamp, np.array(draw(st.lists(
+                value | st.just(np.nan), min_size=len(labels), max_size=len(labels))))))
+    return labels, rows
+
+
+def _token(v):
+    return "NA" if np.isnan(v) else f"{v:.17g}"
+
+
+def _load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "readings.csv"
+        path.write_text(text, encoding="utf-8")
+        return load_panel([path])
+
+
+def _same(a, b):
+    (pa, ra), (pb, rb) = a, b
+    assert pa.labels == pb.labels
+    assert pa.values.tobytes() == pb.values.tobytes()
+    assert pa.timestamps.tobytes() == pb.timestamps.tobytes()
+    assert dataclasses.replace(ra, rows_read=0) == dataclasses.replace(rb, rows_read=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_readings(), st.data())
+def test_long_wide_and_shuffled_exports_ingest_alike(readings, data):
+    labels, rows = readings
+    wide = [",".join(["timestamp", *labels])]
+    wide += [",".join([t.isoformat(), *map(_token, v)]) for t, v in rows]
+    long = [
+        f"{data.draw(st.sampled_from(_ZONES))(t)},{label},{_token(x)}"
+        for t, v in rows
+        for label, x in zip(labels, v)
+    ]
+    shuffled = data.draw(st.permutations(long))
+    from_wide = _load_text("\n".join(wide) + "\n")
+    from_long = _load_text("\n".join(["timestamp,region,value", *long]) + "\n")
+    from_shuffled = _load_text("\n".join(["timestamp,region,value", *shuffled]) + "\n")
+    _same(from_wide, from_long)
+    _same(from_long, from_shuffled)
+    # rows_read counts data lines: one per instant wide, one per reading long
+    assert from_wide[1].rows_read == len(rows)
+    assert from_long[1].rows_read == from_shuffled[1].rows_read == len(long)
