@@ -216,23 +216,28 @@ def _scores(errors: np.ndarray):
     )
 
 
-def _grid_cell(
+def _grid_unit(
     panel: TimeSeriesPanel,
     origins: np.ndarray,
     config: BacktestConfig,
-    key: tuple[int, int, int],
-) -> CellRecord:
-    """Run and score one (T, p, r) cell of a grid."""
-    T, p, r = key
-    cell = run_cell(
-        panel, T, p, r, origins, config.horizon,
-        det=config.det, clip_nonnegative=config.clip_nonnegative,
-    )
-    return CellRecord(T, p, r, *_scores(cell.errors), cell.origins_ok, cell.failures)
+    unit: tuple[int, int],
+) -> list[CellRecord]:
+    """Run and score every rank of one (T, p) group of a grid, in rank order."""
+    T, p = unit
+    records = []
+    for r in config.resolve_ranks(panel.d):
+        cell = run_cell(
+            panel, T, p, r, origins, config.horizon,
+            det=config.det, clip_nonnegative=config.clip_nonnegative,
+        )
+        records.append(
+            CellRecord(T, p, r, *_scores(cell.errors), cell.origins_ok, cell.failures)
+        )
+    return records
 
 
 # Worker-process state for parallel grid evaluation: the panel is shipped
-# once per worker instead of once per cell.
+# once per worker instead of once per unit.
 _worker_args: tuple = ()
 
 
@@ -241,8 +246,8 @@ def _init_worker(panel: TimeSeriesPanel, origins: np.ndarray, config: BacktestCo
     _worker_args = (panel, origins, config)
 
 
-def _eval_cell(key: tuple[int, int, int]) -> CellRecord:
-    return _grid_cell(*_worker_args, key)
+def _eval_unit(unit: tuple[int, int]) -> list[CellRecord]:
+    return _grid_unit(*_worker_args, unit)
 
 
 def data_fingerprint(panel: TimeSeriesPanel) -> str:
@@ -261,8 +266,11 @@ def run_grid(
 ) -> BacktestGridResult:
     """Evaluate every (T, p, r) cell on one shared origin set.
 
-    Deterministic given (panel, config): cells are aggregated in grid order
-    regardless of the number of worker processes.
+    The unit of work is one (T, p) group covering every rank. Units run
+    most expensive first (T descending, then p descending), in this process
+    or, with ``workers > 1``, in a process pool; the records are put back in
+    grid order, so the result is identical for any number of workers.
+    Deterministic given (panel, config).
     """
     r_grid = config.resolve_ranks(panel.d)
     if max(r_grid) > panel.d:
@@ -271,22 +279,21 @@ def run_grid(
     origins = sample_origins(
         panel.n_obs, t_max, config.horizon, config.n_origins, config.seed
     )
-    cells = [
-        (T, p, r)
-        for T in config.T_grid
-        for p in config.p_grid
-        for r in r_grid
-    ]
-    n_workers = max(1, workers)
-    if n_workers == 1 or len(cells) == 1:
-        records = tuple(_grid_cell(panel, origins, config, key) for key in cells)
+    units = [(T, p) for T in config.T_grid for p in config.p_grid]
+    order = sorted(range(len(units)), key=units.__getitem__, reverse=True)
+    queue = [units[i] for i in order]
+    n_workers = min(max(1, workers), len(units))
+    if n_workers == 1:
+        done = [_grid_unit(panel, origins, config, unit) for unit in queue]
     else:
         with ProcessPoolExecutor(
-            max_workers=min(n_workers, len(cells)),
+            max_workers=n_workers,
             initializer=_init_worker,
             initargs=(panel, origins, config),
         ) as pool:
-            records = tuple(pool.map(_eval_cell, cells))
+            done = list(pool.map(_eval_unit, queue))
+    by_unit = dict(zip(order, done))
+    records = tuple(rec for i in range(len(units)) for rec in by_unit[i])
     metadata = {
         "seed": config.seed,
         "data_fingerprint": data_fingerprint(panel),

@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="floor forecasts at 0 MW")
     bt.add_argument("--metric", choices=["mae", "mse", "both"], default="both")
     bt.add_argument("--workers", type=int, default=1,
-                    help="parallel cell worker processes (default 1, serial)")
+                    help="worker processes, each running whole (T, p) units "
+                         "(default 1, serial)")
     bt.add_argument("--out", required=True, help="output directory")
     bt.set_defaults(func=cmd_backtest)
 

@@ -9,8 +9,9 @@ a d-wide group in region order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class TimeSeriesPanel:
         Strictly increasing, constant spacing.
     labels : tuple of str, length d
         Region identifiers in column order.
+
+    The panel keeps read-only copies of ``values`` and ``timestamps``.
     """
 
     values: np.ndarray
@@ -84,8 +87,10 @@ class TimeSeriesPanel:
             raise InvalidInputError(f"expected {d} labels, got {len(labels)}")
         values = values.copy()
         values.setflags(write=False)
+        ts = ts.copy()
+        ts.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "timestamps", ts.copy())
+        object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -97,12 +102,19 @@ class TimeSeriesPanel:
         return self.values.shape[1]
 
     def window(self, start: int, stop: int) -> "TimeSeriesPanel":
-        """Sub-panel over rows [start, stop)."""
+        """Sub-panel over rows [start, stop).
+
+        The window shares read-only views of this panel's values and
+        timestamps. A row slice of a validated panel meets every invariant,
+        so nothing is copied or checked again.
+        """
         if not (0 <= start < stop <= self.n_obs):
             raise InvalidInputError(f"window [{start}, {stop}) out of range")
-        return TimeSeriesPanel(
-            self.values[start:stop], self.timestamps[start:stop], self.labels
-        )
+        view = object.__new__(type(self))
+        object.__setattr__(view, "values", self.values[start:stop])
+        object.__setattr__(view, "timestamps", self.timestamps[start:stop])
+        object.__setattr__(view, "labels", self.labels)
+        return view
 
     @classmethod
     def from_values(
@@ -138,63 +150,91 @@ def difference(panel: TimeSeriesPanel) -> TimeSeriesPanel:
 
 @dataclass(frozen=True, eq=False)
 class RegressionDesign:
-    """Aligned regression blocks for a panel and lag order p.
+    """Aligned regression blocks of a panel for lag order p, built on use.
 
     Row i of every block corresponds to time index t = p + i of the source
     panel. ``lag_block`` stacks levels ``[Y_{t-1} | ... | Y_{t-p}]``;
     ``diff_lag_block`` stacks differences ``[dY_{t-1} | ... | dY_{t-p+1}]``.
+    ``response`` and ``lagged_level`` are views of the panel's values; the
+    other blocks are computed the first time they are read, so an estimator
+    pays only for the blocks it uses.
     """
 
-    response: np.ndarray          # (effective_n, d)   Y_t
-    lag_block: np.ndarray         # (effective_n, d*p)
-    diff_response: np.ndarray     # (effective_n, d)   Y_t - Y_{t-1}
-    lagged_level: np.ndarray      # (effective_n, d)   Y_{t-1}
-    diff_lag_block: np.ndarray    # (effective_n, d*(p-1))
-    deterministic_block: np.ndarray  # (effective_n, m)
-    p: int = field(default=1)
-    det: DeterministicSpec = field(default=DeterministicSpec.NONE)
+    levels: np.ndarray            # (n_obs, d) source panel values
+    p: int = 1
+    det: DeterministicSpec = DeterministicSpec.NONE
 
     @property
     def effective_n(self) -> int:
-        return self.response.shape[0]
+        return self.levels.shape[0] - self.p
 
     @property
     def d(self) -> int:
-        return self.response.shape[1]
+        return self.levels.shape[1]
+
+    @property
+    def response(self) -> np.ndarray:
+        """(effective_n, d) Y_t."""
+        return self.levels[self.p :]
+
+    @property
+    def lagged_level(self) -> np.ndarray:
+        """(effective_n, d) Y_{t-1}."""
+        return self.levels[self.p - 1 : -1]
+
+    @cached_property
+    def diff_response(self) -> np.ndarray:
+        """(effective_n, d) Y_t - Y_{t-1}."""
+        return self.response - self.lagged_level
+
+    @cached_property
+    def lag_block(self) -> np.ndarray:
+        """(effective_n, d*p) levels lags."""
+        return self.regressors(levels=True)[:, : self.d * self.p]
+
+    @cached_property
+    def diff_lag_block(self) -> np.ndarray:
+        """(effective_n, d*(p-1)) lagged differences."""
+        return self.regressors(levels=False)[:, : self.d * (self.p - 1)]
+
+    @property
+    def deterministic_block(self) -> np.ndarray:
+        """(effective_n, m) deterministic terms."""
+        return self.det.block(self.effective_n)
+
+    def regressors(self, levels: bool, extra: int = 0) -> np.ndarray:
+        """One new array ``[lags | deterministic block | extra columns]``.
+
+        The lags are ``lag_block`` when ``levels`` is true (the VAR design)
+        and ``diff_lag_block`` otherwise (the short-run block of the VECM).
+        The ``extra`` trailing columns are zero, for the caller to fill.
+        """
+        y, p, d, eff = self.levels, self.p, self.d, self.effective_n
+        n_lags = p if levels else p - 1
+        out = np.zeros((eff, d * n_lags + self.det.n_terms + extra))
+        for k in range(1, n_lags + 1):
+            block = out[:, (k - 1) * d : k * d]
+            if levels:
+                block[:] = y[p - k : p - k + eff]
+            else:
+                # dY_{t-k} = Y_{t-k} - Y_{t-k-1}
+                np.subtract(y[p - k : p - k + eff], y[p - k - 1 : p - k - 1 + eff], out=block)
+        if self.det.n_terms:
+            out[:, d * n_lags] = 1.0
+        return out
 
 
 def build_design(
     panel: TimeSeriesPanel, p: int, det: DeterministicSpec = DeterministicSpec.NONE
 ) -> RegressionDesign:
-    """Construct all lag/difference blocks for lag order ``p``.
+    """Lag/difference design of ``panel`` for lag order ``p``.
 
-    Requires p >= 1 and n_obs > p; effective_n = n_obs - p.
+    Requires p >= 1 and n_obs > p; effective_n = n_obs - p. The blocks are
+    built when first read (see `RegressionDesign`).
     """
     if p < 1:
         raise InvalidInputError(f"lag order must be >= 1, got {p}")
-    n, d = panel.n_obs, panel.d
+    n = panel.n_obs
     if n <= p:
         raise InsufficientDataError(f"need more than p={p} observations, have {n}")
-    y = panel.values
-    eff = n - p
-
-    response = y[p:]
-    lag_cols = [y[p - k : n - k] for k in range(1, p + 1)]
-    lag_block = np.hstack(lag_cols) if lag_cols else np.zeros((eff, 0))
-    lagged_level = y[p - 1 : n - 1]
-    diff_response = response - lagged_level
-
-    dy = y[1:] - y[:-1]  # dy[t-1] = Y_t - Y_{t-1}, length n-1
-    diff_cols = [dy[p - 1 - k : n - 1 - k] for k in range(1, p)]
-    diff_lag_block = np.hstack(diff_cols) if diff_cols else np.zeros((eff, 0))
-
-    return RegressionDesign(
-        response=response,
-        lag_block=lag_block,
-        diff_response=diff_response,
-        lagged_level=lagged_level,
-        diff_lag_block=diff_lag_block,
-        deterministic_block=det.block(eff),
-        p=p,
-        det=det,
-    )
+    return RegressionDesign(panel.values, p, det)

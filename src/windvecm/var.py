@@ -98,8 +98,7 @@ def fit_var(
             f"need n_obs - p >= {d * p + m + 1} rows for d={d}, p={p}, m={m}; "
             f"have {eff}"
         )
-    x = np.hstack([design.lag_block, design.deterministic_block])
-    b, resid, _ = solve_ls(x, design.response, condition_limit)
+    b, resid, _ = solve_ls(design.regressors(levels=True), design.response, condition_limit)
     phi = tuple(b[k * d : (k + 1) * d, :].T for k in range(p))
     psi = b[d * p :, :].T
     resid_cov = resid.T @ resid / eff
@@ -132,20 +131,22 @@ def forecast_var(
         raise InsufficientHistoryError(
             f"need at least p={model.p} rows of history, have {history.n_obs}"
         )
-    lags = [history.values[-k] for k in range(1, model.p + 1)]  # lags[k-1] = Y_{t-k+1}
-    m = model.det.n_terms
-    const = model.psi[:, 0] if m else None
-    out = np.empty((horizon, model.d))
+    d, p = model.d, model.p
+    # Rows p.. of ``path`` are the forecasts; rows h .. h+p-1, raveled, are
+    # the state [Y_{t-p} | ... | Y_{t-1}] of step h, oldest lag first, which
+    # the stacked d x dp coefficients [phi_p | ... | phi_1] advance.
+    path = np.empty((p + horizon, d))
+    path[:p] = history.values[-p:]
+    coef = np.hstack(model.phi[::-1])
+    const = model.psi[:, 0] if model.det.n_terms else None
     # An explosive model overflows here; that is reported just below.
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(horizon):
-            acc = np.zeros(model.d)
-            for k in range(model.p):
-                acc += model.phi[k] @ lags[k]
+            step = coef @ path[h : h + p].ravel()
             if const is not None:
-                acc = acc + const
-            out[h] = acc
-            lags = [acc] + lags[:-1]
+                step += const
+            path[p + h] = step
+    out = path[p:]
     if not np.isfinite(out).all():
         raise NonFiniteForecastError("forecast recursion produced non-finite values")
     if clip_nonnegative:

@@ -175,15 +175,19 @@ def fit_vecm(
             f"need n_obs - p >= {d * p + m + 1} rows for d={d}, p={p}, m={m}; "
             f"have {eff}"
         )
-    z = np.hstack([design.diff_lag_block, design.deterministic_block])
+    dy, y1 = design.diff_response, design.lagged_level
+    # One regressor array [lagged differences | det | beta' Y_{t-1}]: z is
+    # its leading columns, the error-correction columns are written below.
+    x = design.regressors(levels=False, extra=r)
+    n_sr = d * (p - 1)
+    z = x[:, : n_sr + m]
     # Residuals of the concentration step. The projection onto span(z) is
     # well defined even for rank-deficient z, so no condition guard here.
     if z.shape[1]:
-        r0 = design.diff_response - z @ np.linalg.lstsq(z, design.diff_response, rcond=None)[0]
-        r1 = design.lagged_level - z @ np.linalg.lstsq(z, design.lagged_level, rcond=None)[0]
+        r0 = dy - z @ np.linalg.lstsq(z, dy, rcond=None)[0]
+        r1 = y1 - z @ np.linalg.lstsq(z, y1, rcond=None)[0]
     else:
-        r0 = design.diff_response
-        r1 = design.lagged_level
+        r0, r1 = dy, y1
     s00 = r0.T @ r0 / eff
     s01 = r0.T @ r1 / eff
     s11 = r1.T @ r1 / eff
@@ -197,10 +201,8 @@ def fit_vecm(
         eigenvalues, vectors = None, np.zeros((d, d))
     beta = vectors[:, :r].copy()
 
-    ect = design.lagged_level @ beta
-    x = np.hstack([design.diff_lag_block, design.deterministic_block, ect])
-    b, resid, _ = solve_ls(x, design.diff_response, condition_limit)
-    n_sr = d * (p - 1)
+    x[:, n_sr + m :] = y1 @ beta
+    b, resid, _ = solve_ls(x, dy, condition_limit)
     gamma = tuple(b[k * d : (k + 1) * d, :].T for k in range(p - 1))
     psi = b[n_sr : n_sr + m, :].T
     alpha = b[n_sr + m :, :].T

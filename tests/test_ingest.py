@@ -181,6 +181,26 @@ def test_parse_error_carries_line_number(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "1e999", "-1e999"])
+def test_infinite_value_is_a_parse_error_at_its_line(tmp_path, token):
+    long_path = write(tmp_path, "inf-long.csv", "\n".join([
+        "timestamp,region,value",
+        "2020-01-01T00:00,a,1",
+        f"2020-01-01T00:15,a,{token}",
+        "2020-01-01T00:30,a,3",
+    ]))
+    wide_path = write(tmp_path, "inf-wide.csv", "\n".join([
+        "timestamp,a,b",
+        "2020-01-01T00:00,1,2",
+        "2020-01-01T00:15,3,4",
+        f"2020-01-01T00:30,5,{token}",
+    ]))
+    for path, line in ((long_path, 3), (wide_path, 4)):
+        with pytest.raises(ParseError, match="not finite") as err:
+            load_panel([path])
+        assert err.value.line == line
+
+
 def test_unknown_header_rejected(tmp_path):
     path = write(tmp_path, "h.csv", "foo,bar\n1,2\n")
     with pytest.raises(ParseError) as err:

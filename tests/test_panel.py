@@ -140,9 +140,19 @@ def test_panel_invariant_validation():
 
 
 def test_panel_values_are_immutable():
-    panel = TimeSeriesPanel.from_values([1.0, 2.0])
-    with pytest.raises(ValueError):
-        panel.values[0, 0] = 9.0
+    panel = TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0])
+    values, stamps = panel.values.copy(), panel.timestamps.copy()
+    window = panel.window(1, 3)
+    for target in (panel, window):
+        with pytest.raises(ValueError):
+            target.values[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            target.timestamps[0] = np.datetime64("2000-01-01T00:00")
+    assert np.array_equal(panel.values, values)
+    assert np.array_equal(panel.timestamps, stamps)
+    assert np.array_equal(window.values, values[1:3])
+    assert np.array_equal(window.timestamps, stamps[1:3])
+    assert window.labels == panel.labels
 
 
 def test_deterministic_spec_term_counts():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from windvecm import (
     DeterministicSpec,
     InsufficientDataError,
     InsufficientHistoryError,
+    NonFiniteForecastError,
     SingularDesignError,
     TimeSeriesPanel,
     VarModel,
@@ -150,6 +153,48 @@ def test_forecast_matches_brute_force_recursion():
         hist.append(y)
         expect.append(y)
     assert np.abs(path.values - np.asarray(expect)).max() <= 1e-12
+
+
+def per_lag_recursion(model, history, horizon, clip_nonnegative):
+    """Reference forecast: one d x d product per lag and step, lags kept as a list."""
+    lags = [history.values[-k] for k in range(1, model.p + 1)]
+    out = []
+    for _ in range(horizon):
+        acc = np.zeros(model.d)
+        for k in range(model.p):
+            acc += model.phi[k] @ lags[k]
+        if model.det.n_terms:
+            acc = acc + model.psi[:, 0]
+        out.append(acc)
+        lags = [acc] + lags[:-1]
+    out = np.asarray(out)
+    return np.maximum(out, 0.0) if clip_nonnegative else out
+
+
+@pytest.mark.parametrize("clip", [False, True])
+@pytest.mark.parametrize("det", [NONE, CONST])
+@pytest.mark.parametrize("p", [1, 4])
+def test_forecast_matches_per_lag_recursion(p, det, clip):
+    rng = np.random.default_rng(30 + p)
+    panel = simulate_var_panel(stable_var_model(rng, d=4, p=p, det=det), 400, rng)
+    fitted = fit_var(panel, p, det)
+    got = forecast_var(fitted, panel, 24, clip_nonnegative=clip).values
+    want = per_lag_recursion(fitted, panel, 24, clip)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if clip:
+        assert (want == 0.0).any()      # the floor was exercised
+
+
+@pytest.mark.parametrize("clip", [False, True])
+@pytest.mark.parametrize("p", [1, 4])
+def test_overflowing_recursion_raises_even_when_clipped(p, clip):
+    phi = (1e200 * np.eye(2),) + (np.zeros((2, 2)),) * (p - 1)
+    model = VarModel(phi=phi, psi=np.zeros((2, 0)), det=NONE, resid_cov=np.eye(2))
+    history = TimeSeriesPanel.from_values(np.ones((p, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteForecastError):
+            forecast_var(model, history, 4, clip_nonnegative=clip)
 
 
 def test_forecast_h1_equals_fitted_equation():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import simulate_var_panel, stable_var_model
 
@@ -83,10 +85,49 @@ def concentrated_moments(panel, p, det):
 
     design = build_design(panel, p, det)
     z = np.hstack([design.diff_lag_block, design.deterministic_block])
-    r0 = design.diff_response - z @ np.linalg.lstsq(z, design.diff_response, rcond=None)[0]
-    r1 = design.lagged_level - z @ np.linalg.lstsq(z, design.lagged_level, rcond=None)[0]
+    r0, r1 = design.diff_response, design.lagged_level
+    if z.shape[1]:
+        r0 = r0 - z @ np.linalg.lstsq(z, r0, rcond=None)[0]
+        r1 = r1 - z @ np.linalg.lstsq(z, r1, rcond=None)[0]
     n = design.effective_n
     return r0.T @ r0 / n, r0.T @ r1 / n, r1.T @ r1 / n
+
+
+def textbook_vecm(panel, p, r, det):
+    """(Pi, gamma, psi, resid_cov) by the textbook recipe: build_design blocks
+    joined with np.hstack, scipy's generalized symmetric eigensolver for beta,
+    and a least-squares regression of dY_t on [z, beta' Y_{t-1}]."""
+    from scipy.linalg import eigh
+
+    from windvecm.panel import build_design
+
+    design = build_design(panel, p, det)
+    s00, s01, s11 = concentrated_moments(panel, p, det)
+    _, vectors = eigh(s01.T @ np.linalg.solve(s00, s01), s11)
+    beta = vectors[:, ::-1][:, :r]
+    z = np.hstack([design.diff_lag_block, design.deterministic_block])
+    x = np.hstack([z, design.lagged_level @ beta])
+    b = np.linalg.lstsq(x, design.diff_response, rcond=None)[0]
+    resid = design.diff_response - x @ b
+    d, m = panel.d, det.n_terms
+    gamma = [b[k * d : (k + 1) * d].T for k in range(p - 1)]
+    psi = b[d * (p - 1) : d * (p - 1) + m].T
+    alpha = b[d * (p - 1) + m :].T
+    return alpha @ beta.T, gamma, psi, resid.T @ resid / design.effective_n
+
+
+@pytest.mark.parametrize("p, det", [(1, NONE), (3, NONE), (3, CONST)])
+def test_fit_matches_textbook_recipe(p, det):
+    # p = 1 without a constant is the branch with no concentration regressors.
+    panel = generate(cointegrated_spec(d=4, r_true=2, n_obs=700, seed=21))
+    for r in range(5):
+        model = fit_vecm(panel, p=p, r=r, det=det)
+        pi, gamma, psi, cov = textbook_vecm(panel, p, r, det)
+        for got, want in [(model.pi, pi), (model.psi, psi), (model.resid_cov, cov),
+                          *zip(model.gamma, gamma)]:
+            assert got.shape == want.shape
+            scale = max(1.0, np.abs(want).max(initial=0.0))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-10 * scale
 
 
 def test_beta_normalization_is_s11_orthonormal():
@@ -99,16 +140,22 @@ def test_beta_normalization_is_s11_orthonormal():
 
 
 def test_eigenvalues_match_generalized_symmetric_solver():
-    # Oracle for the Cholesky reduction: a direct generalized solve of
+    # Oracles for the Cholesky reduction: direct generalized solves of
     # S10 S00^-1 S01 v = lambda S11 v.
-    from scipy.linalg import eigh
+    from scipy.linalg import eig, eigh
 
     panel = generate(cointegrated_spec(d=4, r_true=2, n_obs=800, seed=8))
     s00, s01, s11 = concentrated_moments(panel, 3, CONST)
-    expected = eigh(s01.T @ np.linalg.solve(s00, s01), s11, eigvals_only=True)[::-1]
+    mid = s01.T @ np.linalg.solve(s00, s01)
+    expected = eigh(mid, s11, eigvals_only=True)[::-1]
+    # The direct QZ solve of the same pencil, which ignores its symmetry.
+    direct = eig(mid, s11, right=False)
+    assert np.abs(direct.imag).max() <= 1e-12
+    direct = np.sort(direct.real)[::-1]
     for r in range(5):
         model = fit_vecm(panel, p=3, r=r, det=CONST)
         assert np.abs(model.eigenvalues - expected).max() <= 1e-10
+        assert np.abs(model.eigenvalues - direct).max() <= 1e-10
 
 
 def test_residual_determinant_identity():
@@ -310,3 +357,84 @@ def test_forecast_vecm_delegates_shape_and_origin():
     path = forecast_vecm(model, panel, 5, origin_index=123)
     assert path.values.shape == (5, 2)
     assert path.origin_index == 123
+
+
+# --------------------------------------------------------------------------
+# Invariances of fit plus forecast
+# --------------------------------------------------------------------------
+
+@st.composite
+def fit_cases(draw):
+    """A simulated panel of d = 2..4 regions and a (p, r, det) to fit on it."""
+    d = draw(st.integers(2, 4))
+    r_true = draw(st.integers(1, d - 1))
+    seed = draw(st.integers(0, 2**16))
+    panel = generate(cointegrated_spec(d=d, r_true=r_true, n_obs=300, seed=seed))
+    p = draw(st.integers(1, 3))
+    r = draw(st.integers(0, d))
+    det = draw(st.sampled_from([NONE, CONST]))
+    return panel, p, r, det
+
+
+def fit_and_forecast(values, p, r, det, horizon=8):
+    panel = TimeSeriesPanel.from_values(values)
+    model = fit_vecm(panel, p=p, r=r, det=det)
+    return forecast_vecm(model, panel, horizon).values
+
+
+def assert_paths_close(got, want):
+    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit_cases(), st.floats(0.01, 100.0), st.sampled_from([1.0, -1.0]))
+def test_scaling_the_panel_scales_the_forecasts(case, c, sign):
+    panel, p, r, det = case
+    c *= sign
+    base = fit_and_forecast(panel.values, p, r, det)
+    assert_paths_close(fit_and_forecast(c * panel.values, p, r, det), c * base)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit_cases(), st.data())
+def test_shifting_the_panel_shifts_forecasts_of_models_with_a_constant(case, data):
+    panel, p, r, _ = case
+    shift = np.asarray(data.draw(st.lists(
+        st.floats(-50.0, 50.0), min_size=panel.d, max_size=panel.d)))
+    base = fit_and_forecast(panel.values, p, r, CONST)
+    assert_paths_close(fit_and_forecast(panel.values + shift, p, r, CONST), base + shift)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit_cases(), st.randoms(use_true_random=False))
+def test_permuting_the_regions_permutes_the_forecasts(case, rnd):
+    panel, p, r, det = case
+    perm = list(range(panel.d))
+    rnd.shuffle(perm)
+    base = fit_and_forecast(panel.values, p, r, det)
+    assert_paths_close(fit_and_forecast(panel.values[:, perm], p, r, det), base[:, perm])
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit_cases(), st.integers(0, 2**16))
+def test_any_basis_of_the_cointegrating_space_forecasts_alike(case, seed):
+    # beta -> beta Q with alpha -> alpha Q^-T keeps alpha beta' for any
+    # invertible Q, and with it every forecast.
+    panel, p, r, det = case
+    r = max(r, 1)
+    model = fit_vecm(panel, p=p, r=r, det=det)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((r, r)))[0] * rng.uniform(0.5, 2.0, size=r)
+    rotated = VecmModel(
+        alpha=model.alpha @ np.linalg.inv(q).T,
+        beta=model.beta @ q,
+        gamma=model.gamma,
+        psi=model.psi,
+        det=model.det,
+        eigenvalues=model.eigenvalues,
+        r=model.r,
+        p=model.p,
+        resid_cov=model.resid_cov,
+    )
+    assert_paths_close(forecast_vecm(rotated, panel, 8).values,
+                       forecast_vecm(model, panel, 8).values)
