@@ -2,7 +2,7 @@
 
 The TimeSeriesPanel is the one data container everything else consumes: a
 dense (n_obs x d) matrix on a strictly uniform clock. This walkthrough
-builds one by hand, differences it, and inspects the stacked lag blocks the
+builds one by hand, differences it, and inspects the regressor arrays the
 estimators are fitted on.
 """
 
@@ -36,18 +36,19 @@ print(diffed.values)
 # ---------------------------------------------------------------------------
 # The regression design for lag order p = 2
 #
-# Row i of every block corresponds to time index t = p + i. The lag block
-# stacks levels lag-major ([Y_{t-1} | Y_{t-2}]), the difference block stacks
-# lagged differences, and the deterministic block is a constant column here.
+# Row i of every array corresponds to time index t = p + i. A fit reads one
+# regressor array: the VAR stacks levels lag-major ([Y_{t-1} | Y_{t-2}]),
+# the VECM's short-run block stacks lagged differences, and both end with
+# the deterministic term, a constant column here.
 # ---------------------------------------------------------------------------
 design = build_design(panel, p=2, det=DeterministicSpec.CONSTANT)
 print("\neffective rows:", design.effective_n)
 print("response (Y_t):")
 print(design.response)
-print("lag block [Y_t-1 | Y_t-2]:")
-print(design.lag_block)
-print("lagged differences [dY_t-1]:")
-print(design.diff_lag_block)
+print("VAR regressors [Y_t-1 | Y_t-2 | 1]:")
+print(design.regressors(levels=True))
+print("VECM short-run regressors [dY_t-1 | 1]:")
+print(design.regressors(levels=False))
 
 # The identity dY_t = Y_t - Y_{t-1} holds row by row, exactly:
 assert np.array_equal(design.diff_response, design.response - design.lagged_level)

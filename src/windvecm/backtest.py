@@ -194,12 +194,6 @@ class BacktestGridResult:
     horizon: int
     metadata: dict
 
-    def cell(self, T: int, p: int, r: int) -> CellRecord:
-        for rec in self.records:
-            if (rec.T, rec.p, rec.r) == (T, p, r):
-                return rec
-        raise KeyError((T, p, r))
-
 
 def _scores(errors: np.ndarray):
     """MAE, MSE and per-origin absolute/squared losses of an (N, H, d) cube.

@@ -3,13 +3,14 @@
 Every coefficient estimate (the VAR fit and the final regression of the VECM
 fit) routes through :func:`solve_ls` so that near-singular designs fail
 identically everywhere: a rank-revealing (SVD) solve is used, and when the
-condition number exceeds the threshold the solve is rejected instead of
-silently regularized. The one exception is an exactly consistent system
-(residuals numerically zero), where the minimum-norm solution reproduces the
-data and every forecast derived from it; such degenerate-but-exact fits are
-accepted so that noiseless panels remain usable. The VECM concentration step
-needs only residuals, whose projection is well defined for any design, so it
-calls ``np.linalg.lstsq`` directly, without the guard.
+condition number exceeds `CONDITION_LIMIT` (1e10) the solve is rejected
+instead of silently regularized. The one exception is an exactly consistent
+system (residuals numerically zero), where the minimum-norm solution
+reproduces the data and every forecast derived from it; such
+degenerate-but-exact fits are accepted so that noiseless panels remain
+usable. The VECM concentration step needs only residuals, whose projection
+is well defined for any design, so it calls ``np.linalg.lstsq`` directly,
+without the guard.
 """
 
 from __future__ import annotations
@@ -19,22 +20,18 @@ import numpy as np
 from .errors import SingularDesignError
 
 #: Designs with condition number above this raise SingularDesignError.
-DEFAULT_CONDITION_LIMIT = 1e10
+CONDITION_LIMIT = 1e10
 
 #: Residual tolerance (relative to response scale) for the exact-fit escape.
 _CONSISTENT_RTOL = 1e-9
 
 
-def solve_ls(
-    x: np.ndarray,
-    y: np.ndarray,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def solve_ls(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Least-squares solve of ``x @ b = y`` for matrix right-hand sides.
 
     Returns ``(b, residuals, condition)`` where ``residuals = y - x @ b``.
-    Raises `SingularDesignError` when the design is ill-conditioned and the
-    system is not exactly consistent.
+    Raises `SingularDesignError` when the condition number of ``x`` exceeds
+    `CONDITION_LIMIT` and the system is not exactly consistent.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -48,12 +45,12 @@ def solve_ls(
     else:
         cond = float("inf")
     resid = y - x @ b
-    if cond > condition_limit:
+    if cond > CONDITION_LIMIT:
         scale = max(1.0, float(np.max(np.abs(y))) if y.size else 1.0)
         if float(np.max(np.abs(resid))) > _CONSISTENT_RTOL * scale:
             raise SingularDesignError(
                 f"regressor matrix is rank deficient or ill-conditioned "
-                f"(condition {cond:.3e} > {condition_limit:.1e})",
+                f"(condition {cond:.3e} > {CONDITION_LIMIT:.1e})",
                 condition=cond,
             )
     return b, resid, cond

@@ -16,6 +16,7 @@ Layout (one header line, then named sections)::
 
 Numbers are rendered with %.17g, which round-trips IEEE doubles exactly, so
 ``read_model(write_model(m))`` reproduces every coefficient bit-for-bit.
+A line that ``read_model`` cannot read raises `ParseError` with its number.
 A VAR file carries matrices ``phi1..phip``, ``psi``, ``resid_cov``; a VECM
 file carries ``alpha``, ``beta``, ``gamma1..gamma{p-1}``, ``psi``,
 ``resid_cov`` and optionally the eigenvalue vector.
@@ -97,22 +98,37 @@ class _Reader:
             raise ParseError(f"expected '{key} <value>', got {line!r}", line=self.pos)
         return parts[1]
 
-    def matrix(self, name: str) -> np.ndarray:
+    def number(self, token: str, what: str, kind=float, minimum=-np.inf):
+        """``token`` of the line just read as a finite ``kind`` >= ``minimum``."""
+        try:
+            value = kind(token)
+        except ValueError:
+            value = np.nan
+        if not minimum <= value < np.inf:  # also false for NaN
+            raise ParseError(f"invalid {what} {token!r}", line=self.pos)
+        return value
+
+    def header(self, words: list[str], n_sizes: int) -> list[int]:
+        """The sizes on a ``<words> <size>...`` line."""
         line = self.next_line()
         parts = line.split()
-        if len(parts) != 4 or parts[:2] != ["matrix", name]:
-            raise ParseError(f"expected matrix {name}, got {line!r}", line=self.pos)
-        rows, cols = int(parts[2]), int(parts[3])
+        if len(parts) != len(words) + n_sizes or parts[: len(words)] != words:
+            raise ParseError(f"expected {' '.join(words)}, got {line!r}", line=self.pos)
+        return [self.number(t, "size", int, 0) for t in parts[len(words) :]]
+
+    def row(self, what: str, cols: int) -> list[float]:
+        tokens = self.next_line().split()
+        if len(tokens) != cols:
+            raise ParseError(
+                f"{what} has {len(tokens)} values, expected {cols}", line=self.pos
+            )
+        return [self.number(t, f"{what} value") for t in tokens]
+
+    def matrix(self, name: str) -> np.ndarray:
+        rows, cols = self.header(["matrix", name], 2)
         out = np.zeros((rows, cols))
         for i in range(rows):
-            tokens = self.next_line().split()
-            if len(tokens) != cols:
-                raise ParseError(
-                    f"matrix {name} row {i} has {len(tokens)} values, "
-                    f"expected {cols}",
-                    line=self.pos,
-                )
-            out[i] = [float(t) for t in tokens]
+            out[i] = self.row(f"matrix {name} row {i}", cols)
         return out
 
 
@@ -121,11 +137,15 @@ def read_model(path) -> VarModel | VecmModel:
     if reader.next_line().strip() != _MAGIC:
         raise ParseError("not a windvecm model file", line=1)
     kind = reader.scalar("kind")
-    det = DeterministicSpec(reader.scalar("det"))
-    d = int(reader.scalar("d"))
-    p = int(reader.scalar("p"))
+    det_name = reader.scalar("det")
+    try:
+        det = DeterministicSpec(det_name)
+    except ValueError:
+        raise ParseError(f"unknown det {det_name!r}", line=reader.pos) from None
+    d = reader.number(reader.scalar("d"), "d", int, 0)
+    p = reader.number(reader.scalar("p"), "p", int, 1)
     if kind == "vecm":
-        r = int(reader.scalar("r"))
+        r = reader.number(reader.scalar("r"), "r", int, 0)
         alpha = reader.matrix("alpha")
         beta = reader.matrix("beta")
         gamma = tuple(reader.matrix(f"gamma{k}") for k in range(1, p))
@@ -135,12 +155,8 @@ def read_model(path) -> VarModel | VecmModel:
         if reader.pos < len(reader.lines) and reader.lines[reader.pos].startswith(
             "vector eigenvalues"
         ):
-            header = reader.next_line().split()
-            count = int(header[2])
-            tokens = reader.next_line().split()
-            if len(tokens) != count:
-                raise ParseError("eigenvalue count mismatch", line=reader.pos)
-            eigenvalues = np.array([float(t) for t in tokens])
+            (count,) = reader.header(["vector", "eigenvalues"], 1)
+            eigenvalues = np.array(reader.row("vector eigenvalues", count))
         if alpha.shape != (d, r) or beta.shape != (d, r):
             raise ParseError("alpha/beta shape disagrees with header")
         return VecmModel(

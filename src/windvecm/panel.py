@@ -1,17 +1,16 @@
 """Multivariate time-series container and lag/difference design construction.
 
 The panel is a dense (n_obs x d) matrix of simultaneously observed series on
-a uniform clock. All estimators consume the stacked-regressor blocks built
-here, so the column convention is fixed in one place: lag blocks are ordered
-lag-major, region-minor, i.e. ``[lag 1 | lag 2 | ... | lag p]`` with each lag
-a d-wide group in region order.
+a uniform clock. All estimators consume the regressor arrays built here, so
+the column convention is fixed in one place: lags are ordered lag-major,
+region-minor, i.e. ``[lag 1 | lag 2 | ... | lag p]`` with each lag a d-wide
+group in region order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -31,16 +30,10 @@ class DeterministicSpec(Enum):
         """Number of deterministic columns (0 or 1)."""
         return 0 if self is DeterministicSpec.NONE else 1
 
-    def block(self, n_rows: int) -> np.ndarray:
-        """Deterministic block with ``n_rows`` rows (n_rows x m)."""
-        if self is DeterministicSpec.NONE:
-            return np.zeros((n_rows, 0))
-        return np.ones((n_rows, 1))
 
-
-def quarter_hour_range(n: int, start: str | np.datetime64 = "2015-01-01T00:00") -> np.ndarray:
-    """Uniform quarter-hourly timestamp vector of length ``n``."""
-    t0 = np.datetime64(start, "s")
+def quarter_hour_range(n: int) -> np.ndarray:
+    """Quarter-hourly timestamps of length ``n`` from 2015-01-01T00:00."""
+    t0 = np.datetime64("2015-01-01T00:00", "s")
     return t0 + np.arange(n) * QUARTER_HOUR.astype("timedelta64[s]")
 
 
@@ -118,12 +111,9 @@ class TimeSeriesPanel:
 
     @classmethod
     def from_values(
-        cls,
-        values,
-        labels: tuple[str, ...] | None = None,
-        start: str | np.datetime64 = "2015-01-01T00:00",
+        cls, values, labels: tuple[str, ...] | None = None
     ) -> "TimeSeriesPanel":
-        """Panel from a value matrix with synthetic quarter-hourly timestamps.
+        """Panel from a value matrix on a quarter-hourly clock from 2015-01-01.
 
         1-D input is treated as a single series (one column).
         """
@@ -133,7 +123,7 @@ class TimeSeriesPanel:
         n, d = values.shape
         if labels is None:
             labels = tuple(f"s{i}" for i in range(d))
-        return cls(values, quarter_hour_range(n, start), labels)
+        return cls(values, quarter_hour_range(n), labels)
 
 
 def difference(panel: TimeSeriesPanel) -> TimeSeriesPanel:
@@ -150,14 +140,12 @@ def difference(panel: TimeSeriesPanel) -> TimeSeriesPanel:
 
 @dataclass(frozen=True, eq=False)
 class RegressionDesign:
-    """Aligned regression blocks of a panel for lag order p, built on use.
+    """Aligned regression arrays of a panel for lag order p, built on use.
 
-    Row i of every block corresponds to time index t = p + i of the source
-    panel. ``lag_block`` stacks levels ``[Y_{t-1} | ... | Y_{t-p}]``;
-    ``diff_lag_block`` stacks differences ``[dY_{t-1} | ... | dY_{t-p+1}]``.
-    ``response`` and ``lagged_level`` are views of the panel's values; the
-    other blocks are computed the first time they are read, so an estimator
-    pays only for the blocks it uses.
+    Row i of every array corresponds to time index t = p + i of the source
+    panel. ``response`` (Y_t) and ``lagged_level`` (Y_{t-1}) are views of
+    the panel's values, ``diff_response`` (dY_t) is computed when read, and
+    ``regressors`` builds the one regressor array of a fit.
     """
 
     levels: np.ndarray            # (n_obs, d) source panel values
@@ -182,32 +170,20 @@ class RegressionDesign:
         """(effective_n, d) Y_{t-1}."""
         return self.levels[self.p - 1 : -1]
 
-    @cached_property
+    @property
     def diff_response(self) -> np.ndarray:
-        """(effective_n, d) Y_t - Y_{t-1}."""
+        """(effective_n, d) Y_t - Y_{t-1}, a new array on every read."""
         return self.response - self.lagged_level
 
-    @cached_property
-    def lag_block(self) -> np.ndarray:
-        """(effective_n, d*p) levels lags."""
-        return self.regressors(levels=True)[:, : self.d * self.p]
-
-    @cached_property
-    def diff_lag_block(self) -> np.ndarray:
-        """(effective_n, d*(p-1)) lagged differences."""
-        return self.regressors(levels=False)[:, : self.d * (self.p - 1)]
-
-    @property
-    def deterministic_block(self) -> np.ndarray:
-        """(effective_n, m) deterministic terms."""
-        return self.det.block(self.effective_n)
-
     def regressors(self, levels: bool, extra: int = 0) -> np.ndarray:
-        """One new array ``[lags | deterministic block | extra columns]``.
+        """One new array ``[lags | deterministic terms | extra columns]``.
 
-        The lags are ``lag_block`` when ``levels`` is true (the VAR design)
-        and ``diff_lag_block`` otherwise (the short-run block of the VECM).
-        The ``extra`` trailing columns are zero, for the caller to fill.
+        The lags are the levels ``[Y_{t-1} | ... | Y_{t-p}]`` when ``levels``
+        is true (the VAR design) and the differences
+        ``[dY_{t-1} | ... | dY_{t-p+1}]`` otherwise (the short-run block of
+        the VECM). The deterministic terms are one constant column for
+        `DeterministicSpec.CONSTANT` and none otherwise. The ``extra``
+        trailing columns are zero, for the caller to fill.
         """
         y, p, d, eff = self.levels, self.p, self.d, self.effective_n
         n_lags = p if levels else p - 1
@@ -229,8 +205,8 @@ def build_design(
 ) -> RegressionDesign:
     """Lag/difference design of ``panel`` for lag order ``p``.
 
-    Requires p >= 1 and n_obs > p; effective_n = n_obs - p. The blocks are
-    built when first read (see `RegressionDesign`).
+    Requires p >= 1 and n_obs > p; effective_n = n_obs - p. The arrays are
+    built when read (see `RegressionDesign`).
     """
     if p < 1:
         raise InvalidInputError(f"lag order must be >= 1, got {p}")

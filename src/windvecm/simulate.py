@@ -64,7 +64,8 @@ class DgpSpec:
     dY_t = alpha beta' Y_{t-1} + sum_k gamma[k] dY_{t-k} + eps_t with
     eps_t ~ N(0, noise_cov). Construction validates the spectral condition:
     no root of the implied companion matrix outside the unit circle and
-    exactly d - r_true unit roots.
+    exactly d - r_true unit roots. The spec keeps read-only copies of its
+    arrays, so the condition holds for as long as the spec exists.
     """
 
     d: int
@@ -79,25 +80,31 @@ class DgpSpec:
     p_true: int = field(init=False)
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        beta = np.asarray(self.beta, dtype=float)
+        alpha = np.array(self.alpha, dtype=float)
+        beta = np.array(self.beta, dtype=float)
         if alpha.shape != (self.d, self.r_true) or beta.shape != (self.d, self.r_true):
             raise InvalidSpecError(
                 f"alpha/beta must be {self.d} x {self.r_true}, got "
                 f"{alpha.shape} and {beta.shape}"
             )
-        gamma = tuple(np.asarray(g, dtype=float) for g in self.gamma)
+        gamma = tuple(np.array(g, dtype=float) for g in self.gamma)
         for g in gamma:
             if g.shape != (self.d, self.d):
                 raise InvalidSpecError("every gamma matrix must be d x d")
-        cov = np.asarray(self.noise_cov, dtype=float)
+        cov = np.array(self.noise_cov, dtype=float)
         if cov.shape != (self.d, self.d) or not np.allclose(cov, cov.T):
             raise InvalidSpecError("noise_cov must be a symmetric d x d matrix")
-        initial = np.asarray(self.initial, dtype=float).reshape(-1)
+        initial = np.array(self.initial, dtype=float).reshape(-1)
         if initial.shape != (self.d,):
             raise InvalidSpecError(f"initial state must have {self.d} entries")
+        for arr in (alpha, beta, cov, initial, *gamma):
+            if not np.isfinite(arr).all():
+                raise InvalidSpecError("spec arrays contain NaN or infinite entries")
+            arr.setflags(write=False)
         if self.n_obs < 1:
             raise InvalidSpecError("n_obs must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
@@ -140,11 +147,8 @@ def generate(spec: DgpSpec) -> TimeSeriesPanel:
     """Simulate the spec forward; reproducible from ``spec.seed``.
 
     Discards a burn-in of 200 steps, then returns n_obs rows on a synthetic
-    quarter-hourly clock.
+    quarter-hourly clock. The spec was validated when it was built.
     """
-    diag = validate_spec(spec)
-    if np.any(diag.root_moduli > 1.0 + UNIT_ROOT_TOL):
-        raise InvalidSpecError("explosive spec")
     d = spec.d
     rng = np.random.default_rng(spec.seed)
     factor = _psd_factor(spec.noise_cov)
@@ -237,11 +241,20 @@ def spec_to_json(spec: DgpSpec) -> str:
 
 
 def spec_from_json(text: str) -> DgpSpec:
-    """Parse the JSON config format back into a validated spec."""
+    """Parse the JSON config format back into a validated spec.
+
+    Malformed JSON, a payload that is not an object, a missing field and a
+    field of the wrong type or size all raise `InvalidSpecError`.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSpecError(f"malformed spec JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InvalidSpecError(
+            f"spec JSON must be an object, got {type(payload).__name__}"
+        )
+
     def _matrix(key: str, rows: int, cols: int) -> np.ndarray:
         arr = np.asarray(payload[key], dtype=float)
         return arr.reshape(rows, cols) if arr.size else np.zeros((rows, cols))
@@ -249,7 +262,7 @@ def spec_from_json(text: str) -> DgpSpec:
     try:
         d = int(payload["d"])
         r_true = int(payload["r_true"])
-        return DgpSpec(
+        fields = dict(
             d=d,
             r_true=r_true,
             alpha=_matrix("alpha", d, r_true),
@@ -258,9 +271,10 @@ def spec_from_json(text: str) -> DgpSpec:
             noise_cov=np.asarray(payload["noise_cov"], dtype=float),
             n_obs=int(payload["n_obs"]),
             seed=int(payload.get("seed", 0)),
-            initial=np.asarray(
-                payload.get("initial", np.zeros(d)), dtype=float
-            ),
+            initial=np.asarray(payload.get("initial", np.zeros(d)), dtype=float),
         )
     except KeyError as exc:
         raise InvalidSpecError(f"spec JSON missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpecError(f"spec JSON field has a wrong type or size: {exc}") from None
+    return DgpSpec(**fields)

@@ -20,7 +20,7 @@ from .errors import (
     InvalidInputError,
     NonFiniteForecastError,
 )
-from .lstsq import DEFAULT_CONDITION_LIMIT, solve_ls
+from .lstsq import solve_ls
 from .metrics import ForecastPath
 from .panel import DeterministicSpec, TimeSeriesPanel, build_design
 
@@ -82,7 +82,6 @@ def fit_var(
     panel: TimeSeriesPanel,
     p: int,
     det: DeterministicSpec = DeterministicSpec.CONSTANT,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
 ) -> VarModel:
     """Estimate a VAR(p) equation-by-equation by least squares.
 
@@ -98,7 +97,7 @@ def fit_var(
             f"need n_obs - p >= {d * p + m + 1} rows for d={d}, p={p}, m={m}; "
             f"have {eff}"
         )
-    b, resid, _ = solve_ls(design.regressors(levels=True), design.response, condition_limit)
+    b, resid, _ = solve_ls(design.regressors(levels=True), design.response)
     phi = tuple(b[k * d : (k + 1) * d, :].T for k in range(p))
     psi = b[d * p :, :].T
     resid_cov = resid.T @ resid / eff

@@ -28,7 +28,7 @@ from .errors import (
     InvalidRankError,
     SingularMomentError,
 )
-from .lstsq import DEFAULT_CONDITION_LIMIT, solve_ls
+from .lstsq import solve_ls
 from .metrics import ForecastPath
 from .panel import DeterministicSpec, TimeSeriesPanel, build_design
 from .var import VarModel, forecast_var
@@ -149,7 +149,6 @@ def fit_vecm(
     p: int,
     r: int,
     det: DeterministicSpec = DeterministicSpec.CONSTANT,
-    condition_limit: float = DEFAULT_CONDITION_LIMIT,
 ) -> VecmModel:
     """Johansen reduced-rank fit with fixed cointegrating rank ``r``.
 
@@ -202,7 +201,7 @@ def fit_vecm(
     beta = vectors[:, :r].copy()
 
     x[:, n_sr + m :] = y1 @ beta
-    b, resid, _ = solve_ls(x, dy, condition_limit)
+    b, resid, _ = solve_ls(x, dy)
     gamma = tuple(b[k * d : (k + 1) * d, :].T for k in range(p - 1))
     psi = b[n_sr : n_sr + m, :].T
     alpha = b[n_sr + m :, :].T

@@ -144,3 +144,30 @@ def test_data_and_sim_are_exclusive(tmp_path, sim_spec_file):
     with pytest.raises(SystemExit):
         main(["fit", "--sim", str(sim_spec_file), "--data", "x.csv",
               "--p", "1", "--out", str(tmp_path / "m.txt")])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "[1, 2, 3]",
+        '{"d": 2, "r_true": 1, "alpha": [1, 2, 3], "beta": [[1], [0]],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
+        '{"d": 2, "r_true": 0, "alpha": [], "beta": [], "gamma": [[[0.1, 0], [0]]],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
+        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": "many"}',
+        '{"d": 2, "r_true": 0, "alpha": [], "beta": [], "gamma": [[[NaN, 0], [0, 0]]],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
+        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300, "seed": -3}',
+    ],
+    ids=["not-an-object", "alpha-size", "ragged-gamma", "n_obs-type", "nan-gamma",
+         "negative-seed"],
+)
+def test_backtest_malformed_spec_exits_1(tmp_path, capsys, payload):
+    spec = tmp_path / "spec.json"
+    spec.write_text(payload)
+    code = main(["backtest", "--sim", str(spec), "--window", "96", "--p", "1",
+                 "--origins", "3", "--out", str(tmp_path / "bt")])
+    assert code == 1
+    assert "InvalidSpecError" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from windvecm import (
     DeterministicSpec,
     ParseError,
     cointegrated_spec,
+    fit_var,
     fit_vecm,
     generate,
     read_model,
@@ -71,3 +72,34 @@ def test_read_rejects_foreign_file(tmp_path):
     path.write_text("hello\nworld\n")
     with pytest.raises(ParseError):
         read_model(path)
+
+
+def _replace_line(lines, prefix, new, offset=0):
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix)) + offset
+    return lines[:i] + [new] + lines[i + 1 :], i + 1
+
+
+@pytest.mark.parametrize(
+    "kind, prefix, offset, new",
+    [
+        ("vecm", "d ", 0, "d x"),
+        ("vecm", "det ", 0, "det linear"),
+        ("vecm", "matrix alpha", 1, "abc"),
+        ("var", "matrix phi1", 0, "matrix phi1 one 1"),
+        ("var", "p ", 0, "p 0"),
+        ("vecm", "vector eigenvalues", 0, "vector eigenvalues"),
+        ("vecm", "matrix alpha", 1, "nan"),
+        ("var", "matrix psi", 1, "1e999"),
+        ("vecm", "vector eigenvalues", 1, "0.5 nan 0.1"),
+    ],
+)
+def test_read_rejects_malformed_line_with_its_number(tmp_path, kind, prefix, offset, new):
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=4))
+    model = fit_vecm(panel, p=2, r=1) if kind == "vecm" else fit_var(panel, 2)
+    path = tmp_path / "model.txt"
+    write_model(model, path)
+    lines, line_no = _replace_line(path.read_text().splitlines(), prefix, new, offset)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        read_model(path)
+    assert info.value.line == line_no

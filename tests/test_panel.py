@@ -62,9 +62,9 @@ def test_build_design_p1_shift():
     panel = TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0])
     design = build_design(panel, 1, DeterministicSpec.NONE)
     assert np.array_equal(design.response.ravel(), [2.0, 3.0, 4.0])
-    assert np.array_equal(design.lag_block.ravel(), [1.0, 2.0, 3.0])
-    assert design.diff_lag_block.shape == (3, 0)
-    assert design.deterministic_block.shape == (3, 0)
+    assert np.array_equal(design.regressors(levels=True).ravel(), [1.0, 2.0, 3.0])
+    # p = 1 without deterministic terms has no short-run regressors at all
+    assert design.regressors(levels=False).shape == (3, 0)
 
 
 def test_build_design_p2_difference_blocks():
@@ -72,27 +72,36 @@ def test_build_design_p2_difference_blocks():
     design = build_design(panel, 2, DeterministicSpec.NONE)
     assert np.array_equal(design.diff_response.ravel(), [1.0, 1.0])
     assert np.array_equal(design.lagged_level.ravel(), [2.0, 3.0])
-    assert np.array_equal(design.diff_lag_block.ravel(), [1.0, 1.0])
+    assert np.array_equal(design.regressors(levels=False).ravel(), [1.0, 1.0])
 
 
 def test_build_design_rows_align_with_source_panel():
-    # Brute-force index check over every row and lag.
+    # Brute-force index check over every row and lag, plus the constant
+    # column and the zeroed extra columns that follow the lags.
     rng = np.random.default_rng(7)
     values = rng.normal(size=(40, 2))
     panel = TimeSeriesPanel.from_values(values)
     for p in (1, 2, 3, 5):
         design = build_design(panel, p, DeterministicSpec.CONSTANT)
         assert design.effective_n == 40 - p
-        for i in range(design.effective_n):
-            t = p + i
-            assert np.array_equal(design.response[i], values[t])
-            assert np.array_equal(design.lagged_level[i], values[t - 1])
-            for k in range(1, p + 1):
-                block = design.lag_block[i, (k - 1) * 2 : k * 2]
-                assert np.array_equal(block, values[t - k])
-            for k in range(1, p):
-                block = design.diff_lag_block[i, (k - 1) * 2 : k * 2]
-                assert np.array_equal(block, values[t - k] - values[t - k - 1])
+        for extra in (0, 3):
+            levels = design.regressors(levels=True, extra=extra)
+            diffs = design.regressors(levels=False, extra=extra)
+            assert levels.shape == (40 - p, 2 * p + 1 + extra)
+            assert diffs.shape == (40 - p, 2 * (p - 1) + 1 + extra)
+            for x, n_lags in ((levels, p), (diffs, p - 1)):
+                assert np.array_equal(x[:, 2 * n_lags], np.ones(40 - p))
+                assert not x[:, 2 * n_lags + 1 :].any()
+            for i in range(design.effective_n):
+                t = p + i
+                assert np.array_equal(design.response[i], values[t])
+                assert np.array_equal(design.lagged_level[i], values[t - 1])
+                for k in range(1, p + 1):
+                    block = levels[i, (k - 1) * 2 : k * 2]
+                    assert np.array_equal(block, values[t - k])
+                for k in range(1, p):
+                    block = diffs[i, (k - 1) * 2 : k * 2]
+                    assert np.array_equal(block, values[t - k] - values[t - k - 1])
 
 
 def test_design_difference_identity():
@@ -102,8 +111,8 @@ def test_design_difference_identity():
     assert np.array_equal(
         design.diff_response, design.response - design.lagged_level
     )
-    # lag-1 group of the lag block is exactly the lagged level
-    assert np.array_equal(design.lag_block[:, :3], design.lagged_level)
+    # lag-1 group of the levels regressors is exactly the lagged level
+    assert np.array_equal(design.regressors(levels=True)[:, :3], design.lagged_level)
 
 
 def test_region_permutation_permutes_columns():
@@ -115,10 +124,10 @@ def test_region_permutation_permutes_columns():
         TimeSeriesPanel.from_values(values[:, perm]), 2, DeterministicSpec.NONE
     )
     assert np.array_equal(b.response, a.response[:, perm])
+    xa, xb = a.regressors(levels=True), b.regressors(levels=True)
     for k in range(2):
         assert np.array_equal(
-            b.lag_block[:, k * 3 : (k + 1) * 3],
-            a.lag_block[:, k * 3 : (k + 1) * 3][:, perm],
+            xb[:, k * 3 : (k + 1) * 3], xa[:, k * 3 : (k + 1) * 3][:, perm]
         )
 
 
@@ -158,6 +167,7 @@ def test_panel_values_are_immutable():
 def test_deterministic_spec_term_counts():
     assert DeterministicSpec.NONE.n_terms == 0
     assert DeterministicSpec.CONSTANT.n_terms == 1
-    assert build_design(
+    design = build_design(
         TimeSeriesPanel.from_values([1.0, 2.0, 3.0]), 1, DeterministicSpec.CONSTANT
-    ).deterministic_block.shape == (2, 1)
+    )
+    assert np.array_equal(design.regressors(levels=False), np.ones((2, 1)))

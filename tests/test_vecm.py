@@ -79,41 +79,47 @@ def test_full_rank_matches_var_one_step():
     assert np.abs(f_vecm - f_var).max() <= 1e-8
 
 
+def short_run_regressors(values, p, det):
+    """[dY_{t-1} | ... | dY_{t-p+1} | constant] for t = p .. n-1, sliced
+    straight from the panel values rather than built by `build_design`."""
+    n = values.shape[0]
+    dv = values[1:] - values[:-1]  # dv[s - 1] = dY_s
+    lags = [dv[p - k - 1 : n - k - 1] for k in range(1, p)]
+    return np.hstack([*lags, np.ones((n - p, det.n_terms))])
+
+
 def concentrated_moments(panel, p, det):
     """S00, S01, S11 rebuilt from the concentration step definition."""
-    from windvecm.panel import build_design
-
-    design = build_design(panel, p, det)
-    z = np.hstack([design.diff_lag_block, design.deterministic_block])
-    r0, r1 = design.diff_response, design.lagged_level
+    y = panel.values
+    z = short_run_regressors(y, p, det)
+    r0, r1 = y[p:] - y[p - 1 : -1], y[p - 1 : -1]
     if z.shape[1]:
         r0 = r0 - z @ np.linalg.lstsq(z, r0, rcond=None)[0]
         r1 = r1 - z @ np.linalg.lstsq(z, r1, rcond=None)[0]
-    n = design.effective_n
+    n = y.shape[0] - p
     return r0.T @ r0 / n, r0.T @ r1 / n, r1.T @ r1 / n
 
 
 def textbook_vecm(panel, p, r, det):
-    """(Pi, gamma, psi, resid_cov) by the textbook recipe: build_design blocks
-    joined with np.hstack, scipy's generalized symmetric eigensolver for beta,
-    and a least-squares regression of dY_t on [z, beta' Y_{t-1}]."""
+    """(Pi, gamma, psi, resid_cov) by the textbook recipe: regressors sliced
+    from the panel values and joined with np.hstack, scipy's generalized
+    symmetric eigensolver for beta, and a least-squares regression of dY_t
+    on [z, beta' Y_{t-1}]."""
     from scipy.linalg import eigh
 
-    from windvecm.panel import build_design
-
-    design = build_design(panel, p, det)
+    y = panel.values
+    dy, y1 = y[p:] - y[p - 1 : -1], y[p - 1 : -1]
     s00, s01, s11 = concentrated_moments(panel, p, det)
     _, vectors = eigh(s01.T @ np.linalg.solve(s00, s01), s11)
     beta = vectors[:, ::-1][:, :r]
-    z = np.hstack([design.diff_lag_block, design.deterministic_block])
-    x = np.hstack([z, design.lagged_level @ beta])
-    b = np.linalg.lstsq(x, design.diff_response, rcond=None)[0]
-    resid = design.diff_response - x @ b
+    x = np.hstack([short_run_regressors(y, p, det), y1 @ beta])
+    b = np.linalg.lstsq(x, dy, rcond=None)[0]
+    resid = dy - x @ b
     d, m = panel.d, det.n_terms
     gamma = [b[k * d : (k + 1) * d].T for k in range(p - 1)]
     psi = b[d * (p - 1) : d * (p - 1) + m].T
     alpha = b[d * (p - 1) + m :].T
-    return alpha @ beta.T, gamma, psi, resid.T @ resid / design.effective_n
+    return alpha @ beta.T, gamma, psi, resid.T @ resid / dy.shape[0]
 
 
 @pytest.mark.parametrize("p, det", [(1, NONE), (3, NONE), (3, CONST)])
