@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
+from ._blas import one_blas_thread
 from .errors import (
     InsufficientDataError,
     InsufficientRangeError,
@@ -264,7 +265,9 @@ def run_grid(
     most expensive first (T descending, then p descending), in this process
     or, with ``workers > 1``, in a process pool; the records are put back in
     grid order, so the result is identical for any number of workers.
-    Deterministic given (panel, config).
+    Deterministic given (panel, config). The units run inside one
+    `one_blas_thread` scope, so pool workers are forked at one OpenBLAS
+    thread and never start BLAS threads of their own.
     """
     r_grid = config.resolve_ranks(panel.d)
     if max(r_grid) > panel.d:
@@ -277,15 +280,16 @@ def run_grid(
     order = sorted(range(len(units)), key=units.__getitem__, reverse=True)
     queue = [units[i] for i in order]
     n_workers = min(max(1, workers), len(units))
-    if n_workers == 1:
-        done = [_grid_unit(panel, origins, config, unit) for unit in queue]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=(panel, origins, config),
-        ) as pool:
-            done = list(pool.map(_eval_unit, queue))
+    with one_blas_thread():
+        if n_workers == 1:
+            done = [_grid_unit(panel, origins, config, unit) for unit in queue]
+        else:
+            with ProcessPoolExecutor(
+                max_workers=n_workers,
+                initializer=_init_worker,
+                initargs=(panel, origins, config),
+            ) as pool:
+                done = list(pool.map(_eval_unit, queue))
     by_unit = dict(zip(order, done))
     records = tuple(rec for i in range(len(units)) for rec in by_unit[i])
     metadata = {

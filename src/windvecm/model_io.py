@@ -16,7 +16,10 @@ Layout (one header line, then named sections)::
 
 Numbers are rendered with %.17g, which round-trips IEEE doubles exactly, so
 ``read_model(write_model(m))`` reproduces every coefficient bit-for-bit.
-A line that ``read_model`` cannot read raises `ParseError` with its number.
+A line that ``read_model`` cannot read raises `ParseError` with its number;
+so does a section header whose sizes disagree with the ``d``/``p``/``r``/``det``
+header (``alpha``/``beta`` d x r, ``gammaK``/``phiK`` and ``resid_cov`` d x d,
+``psi`` d x m with m deterministic terms, d eigenvalues).
 A VAR file carries matrices ``phi1..phip``, ``psi``, ``resid_cov``; a VECM
 file carries ``alpha``, ``beta``, ``gamma1..gamma{p-1}``, ``psi``,
 ``resid_cov`` and optionally the eigenvalue vector.
@@ -108,13 +111,17 @@ class _Reader:
             raise ParseError(f"invalid {what} {token!r}", line=self.pos)
         return value
 
-    def header(self, words: list[str], n_sizes: int) -> list[int]:
-        """The sizes on a ``<words> <size>...`` line."""
+    def header(self, words: list[str], sizes: list[int]) -> None:
+        """A ``<words> <size>...`` line whose sizes must equal ``sizes``."""
         line = self.next_line()
         parts = line.split()
-        if len(parts) != len(words) + n_sizes or parts[: len(words)] != words:
+        if len(parts) != len(words) + len(sizes) or parts[: len(words)] != words:
             raise ParseError(f"expected {' '.join(words)}, got {line!r}", line=self.pos)
-        return [self.number(t, "size", int, 0) for t in parts[len(words) :]]
+        found = [self.number(t, "size", int, 0) for t in parts[len(words) :]]
+        if found != sizes:
+            raise ParseError(
+                f"{' '.join(words)} has sizes {found}, expected {sizes}", line=self.pos
+            )
 
     def row(self, what: str, cols: int) -> list[float]:
         tokens = self.next_line().split()
@@ -124,8 +131,9 @@ class _Reader:
             )
         return [self.number(t, f"{what} value") for t in tokens]
 
-    def matrix(self, name: str) -> np.ndarray:
-        rows, cols = self.header(["matrix", name], 2)
+    def matrix(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """A ``rows`` x ``cols`` section; other sizes fail at the header line."""
+        self.header(["matrix", name], [rows, cols])
         out = np.zeros((rows, cols))
         for i in range(rows):
             out[i] = self.row(f"matrix {name} row {i}", cols)
@@ -144,30 +152,27 @@ def read_model(path) -> VarModel | VecmModel:
         raise ParseError(f"unknown det {det_name!r}", line=reader.pos) from None
     d = reader.number(reader.scalar("d"), "d", int, 0)
     p = reader.number(reader.scalar("p"), "p", int, 1)
+    m = det.n_terms
     if kind == "vecm":
         r = reader.number(reader.scalar("r"), "r", int, 0)
-        alpha = reader.matrix("alpha")
-        beta = reader.matrix("beta")
-        gamma = tuple(reader.matrix(f"gamma{k}") for k in range(1, p))
-        psi = reader.matrix("psi")
-        resid_cov = reader.matrix("resid_cov")
+        alpha = reader.matrix("alpha", d, r)
+        beta = reader.matrix("beta", d, r)
+        gamma = tuple(reader.matrix(f"gamma{k}", d, d) for k in range(1, p))
+        psi = reader.matrix("psi", d, m)
+        resid_cov = reader.matrix("resid_cov", d, d)
         eigenvalues = None
         if reader.pos < len(reader.lines) and reader.lines[reader.pos].startswith(
             "vector eigenvalues"
         ):
-            (count,) = reader.header(["vector", "eigenvalues"], 1)
-            eigenvalues = np.array(reader.row("vector eigenvalues", count))
-        if alpha.shape != (d, r) or beta.shape != (d, r):
-            raise ParseError("alpha/beta shape disagrees with header")
+            reader.header(["vector", "eigenvalues"], [d])
+            eigenvalues = np.array(reader.row("vector eigenvalues", d))
         return VecmModel(
             alpha=alpha, beta=beta, gamma=gamma, psi=psi, det=det,
             eigenvalues=eigenvalues, r=r, p=p, resid_cov=resid_cov,
         )
     if kind == "var":
-        phi = tuple(reader.matrix(f"phi{k}") for k in range(1, p + 1))
-        psi = reader.matrix("psi")
-        resid_cov = reader.matrix("resid_cov")
-        if phi[0].shape != (d, d):
-            raise ParseError("phi shape disagrees with header")
+        phi = tuple(reader.matrix(f"phi{k}", d, d) for k in range(1, p + 1))
+        psi = reader.matrix("psi", d, m)
+        resid_cov = reader.matrix("resid_cov", d, d)
         return VarModel(phi=phi, psi=psi, det=det, resid_cov=resid_cov)
     raise ParseError(f"unknown model kind {kind!r}")

@@ -244,7 +244,8 @@ def spec_from_json(text: str) -> DgpSpec:
     """Parse the JSON config format back into a validated spec.
 
     Malformed JSON, a payload that is not an object, a missing field and a
-    field of the wrong type or size all raise `InvalidSpecError`.
+    field of the wrong type or size all raise `InvalidSpecError`; the counts
+    ``d``, ``r_true``, ``n_obs`` and ``seed`` must be integral JSON numbers.
     """
     try:
         payload = json.loads(text)
@@ -255,13 +256,21 @@ def spec_from_json(text: str) -> DgpSpec:
             f"spec JSON must be an object, got {type(payload).__name__}"
         )
 
+    def _integer(key: str, default: int | None = None) -> int:
+        value = payload[key] if default is None else payload.get(key, default)
+        if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()
+        ):
+            raise InvalidSpecError(f"spec JSON field {key!r} must be an integer, got {value!r}")
+        return int(value)
+
     def _matrix(key: str, rows: int, cols: int) -> np.ndarray:
         arr = np.asarray(payload[key], dtype=float)
         return arr.reshape(rows, cols) if arr.size else np.zeros((rows, cols))
 
     try:
-        d = int(payload["d"])
-        r_true = int(payload["r_true"])
+        d = _integer("d")
+        r_true = _integer("r_true")
         fields = dict(
             d=d,
             r_true=r_true,
@@ -269,8 +278,8 @@ def spec_from_json(text: str) -> DgpSpec:
             beta=_matrix("beta", d, r_true),
             gamma=tuple(np.asarray(g, dtype=float) for g in payload.get("gamma", [])),
             noise_cov=np.asarray(payload["noise_cov"], dtype=float),
-            n_obs=int(payload["n_obs"]),
-            seed=int(payload.get("seed", 0)),
+            n_obs=_integer("n_obs"),
+            seed=_integer("seed", 0),
             initial=np.asarray(payload.get("initial", np.zeros(d)), dtype=float),
         )
     except KeyError as exc:

@@ -1,5 +1,8 @@
-"""Fits run on one OpenBLAS thread; the import path carries no scipy."""
+"""Fits and grids run on one OpenBLAS thread; the import path carries no scipy."""
 
+import functools
+import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,11 +12,16 @@ import pytest
 
 import windvecm
 from windvecm import _blas, cointegrated_spec, fit_var, fit_vecm, generate
+from windvecm import backtest
 from windvecm import var as var_mod
 from windvecm import vecm as vecm_mod
 
 needs_openblas = pytest.mark.skipif(
     _blas.get_num_threads() is None, reason="numpy's bundled OpenBLAS not found"
+)
+needs_forked_workers = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or not Path("/proc/self/status").exists(),
+    reason="pool workers are not forked, or /proc is missing",
 )
 
 SRC = str(Path(windvecm.__file__).resolve().parents[1])
@@ -39,6 +47,31 @@ def two_threads(monkeypatch):
     set_threads(2)
     yield set_threads
     set_threads(before)
+
+
+def small_grid():
+    """A d = 3 panel and a two-unit grid (T = 96, p = 1 and 2)."""
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=0))
+    config = backtest.BacktestConfig(T_grid=(96,), p_grid=(1, 2), r_grid=(0, 1), n_origins=2)
+    return panel, config
+
+
+def os_threads() -> int:
+    """Number of OS threads of this process."""
+    status = Path("/proc/self/status").read_text().splitlines()
+    return int(next(line.split()[1] for line in status if line.startswith("Threads:")))
+
+
+_eval_unit = backtest._eval_unit
+
+
+def probed_unit(out_dir: Path, unit):
+    """`_eval_unit` that writes the BLAS count and OS threads around the unit."""
+    before = [_blas.get_num_threads(), os_threads()]
+    records = _eval_unit(unit)
+    after = [_blas.get_num_threads(), os_threads()]
+    (out_dir / f"{os.getpid()}-{unit[0]}-{unit[1]}.json").write_text(json.dumps(before + after))
+    return records
 
 
 def spy_on_solve_ls(monkeypatch, module) -> list:
@@ -96,6 +129,54 @@ def test_user_thread_setting_is_kept_inside_a_fit():
     # OpenBLAS caps the variable at the core count.
     expected = str(min(2, os.cpu_count()))
     assert run_python(code, OPENBLAS_NUM_THREADS="2").split() == [expected, expected]
+
+
+@needs_openblas
+@needs_forked_workers
+def test_grid_workers_start_at_one_thread_and_start_none(two_threads, monkeypatch, tmp_path):
+    monkeypatch.setattr(backtest, "_eval_unit", functools.partial(probed_unit, tmp_path))
+    panel, config = small_grid()
+    backtest.run_grid(panel, config, workers=2)
+    seen = {f.name: json.loads(f.read_text()) for f in tmp_path.glob("*.json")}
+    assert sorted(name.split("-", 1)[1] for name in seen) == ["96-1.json", "96-2.json"]
+    assert all(probe == [1, 1, 1, 1] for probe in seen.values()), seen
+    assert _blas.get_num_threads() == 2
+
+
+@needs_openblas
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_forked_workers)])
+def test_grid_restores_the_count_after_an_error(two_threads, monkeypatch, workers):
+    def failing_unit(panel, origins, config, unit):
+        raise RuntimeError(f"unit {unit} failed")
+
+    monkeypatch.setattr(backtest, "_grid_unit", failing_unit)
+    with pytest.raises(RuntimeError, match="failed"):
+        backtest.run_grid(*small_grid(), workers=workers)
+    assert _blas.get_num_threads() == 2
+
+
+@needs_openblas
+@needs_forked_workers
+def test_user_thread_setting_is_kept_in_grid_workers():
+    code = (
+        "import os\n"
+        "from windvecm import _blas, backtest, cointegrated_spec, generate\n"
+        "real = backtest._eval_unit\n"
+        "def probe(unit):\n"
+        "    before = _blas.get_num_threads()\n"
+        "    records = real(unit)\n"
+        "    os.write(1, f'worker {before} {_blas.get_num_threads()}\\n'.encode())\n"
+        "    return records\n"
+        "backtest._eval_unit = probe\n"
+        "panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=0))\n"
+        "config = backtest.BacktestConfig(T_grid=(96,), p_grid=(1, 2), r_grid=(0, 1),"
+        " n_origins=2)\n"
+        "backtest.run_grid(panel, config, workers=2)\n"
+        "print('parent', _blas.get_num_threads())\n"
+    )
+    n = str(min(2, os.cpu_count()))
+    lines = run_python(code, OPENBLAS_NUM_THREADS="2").splitlines()
+    assert sorted(lines) == ["parent " + n] + ["worker " + n + " " + n] * 2
 
 
 def test_import_loads_no_scipy():

@@ -160,9 +160,22 @@ def test_data_and_sim_are_exclusive(tmp_path, sim_spec_file):
         ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
         '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
         ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300, "seed": -3}',
+        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 700.9}',
+        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": true}',
+        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300, "seed": 1.5}',
+        '{"d": 2.5, "r_true": 0, "alpha": [], "beta": [],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
+        '{"d": 2, "r_true": false, "alpha": [], "beta": [],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
+        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": "300"}',
     ],
     ids=["not-an-object", "alpha-size", "ragged-gamma", "n_obs-type", "nan-gamma",
-         "negative-seed"],
+         "negative-seed", "fractional-n_obs", "bool-n_obs", "fractional-seed",
+         "fractional-d", "bool-r_true", "string-n_obs"],
 )
 def test_backtest_malformed_spec_exits_1(tmp_path, capsys, payload):
     spec = tmp_path / "spec.json"

@@ -91,6 +91,16 @@ def _replace_line(lines, prefix, new, offset=0):
         ("vecm", "matrix alpha", 1, "nan"),
         ("var", "matrix psi", 1, "1e999"),
         ("vecm", "vector eigenvalues", 1, "0.5 nan 0.1"),
+        ("vecm", "matrix alpha", 0, "matrix alpha 3 2"),
+        ("vecm", "matrix beta", 0, "matrix beta 2 1"),
+        ("vecm", "matrix gamma1", 0, "matrix gamma1 3 2"),
+        ("vecm", "matrix psi", 0, "matrix psi 3 0"),
+        ("vecm", "matrix resid_cov", 0, "matrix resid_cov 2 3"),
+        ("vecm", "vector eigenvalues", 0, "vector eigenvalues 2"),
+        ("var", "matrix phi1", 0, "matrix phi1 3 2"),
+        ("var", "matrix phi2", 0, "matrix phi2 2 3"),
+        ("var", "matrix psi", 0, "matrix psi 3 2"),
+        ("var", "matrix resid_cov", 0, "matrix resid_cov 3 4"),
     ],
 )
 def test_read_rejects_malformed_line_with_its_number(tmp_path, kind, prefix, offset, new):
