@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from windvecm import (
-    IngestOptions,
     fit_vecm,
     load_panel,
     read_model,
@@ -49,7 +48,7 @@ for slot in range(300):
 export = workdir / "export.csv"
 export.write_text("\n".join(lines) + "\n")
 
-panel, report = load_panel([export], IngestOptions(max_gap_slots=8))
+panel, report = load_panel([export], max_gap_slots=8)
 print("panel:", panel.values.shape, panel.labels)
 print("report:", report)
 

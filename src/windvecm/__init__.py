@@ -35,7 +35,7 @@ from .errors import (
     SingularMomentError,
     WindVecmError,
 )
-from .ingest import IngestOptions, IngestReport, load_panel, save_wide
+from .ingest import IngestReport, load_panel, save_wide
 from .metrics import (
     DmTestResult,
     ForecastPath,
@@ -78,7 +78,6 @@ __all__ = [
     "DgpSpec",
     "DmTestResult",
     "ForecastPath",
-    "IngestOptions",
     "IngestReport",
     "RegressionDesign",
     "SpecDiagnostics",

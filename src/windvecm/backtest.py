@@ -190,9 +190,6 @@ class BacktestGridResult:
     origins: np.ndarray
     d: int
     T_grid: tuple[int, ...]
-    p_grid: tuple[int, ...]
-    r_grid: tuple[int, ...]
-    horizon: int
     metadata: dict
 
 
@@ -269,9 +266,10 @@ def run_grid(
     `one_blas_thread` scope, so pool workers are forked at one OpenBLAS
     thread and never start BLAS threads of their own.
     """
-    r_grid = config.resolve_ranks(panel.d)
-    if max(r_grid) > panel.d:
+    if max(config.resolve_ranks(panel.d)) > panel.d:
         raise InvalidInputError(f"r_grid exceeds panel dimension d={panel.d}")
+    if workers < 1:
+        raise InvalidInputError(f"workers must be at least 1, got {workers}")
     t_max = max(config.T_grid)
     origins = sample_origins(
         panel.n_obs, t_max, config.horizon, config.n_origins, config.seed
@@ -279,7 +277,7 @@ def run_grid(
     units = [(T, p) for T in config.T_grid for p in config.p_grid]
     order = sorted(range(len(units)), key=units.__getitem__, reverse=True)
     queue = [units[i] for i in order]
-    n_workers = min(max(1, workers), len(units))
+    n_workers = min(workers, len(units))
     with one_blas_thread():
         if n_workers == 1:
             done = [_grid_unit(panel, origins, config, unit) for unit in queue]
@@ -308,9 +306,6 @@ def run_grid(
         origins=origins,
         d=panel.d,
         T_grid=config.T_grid,
-        p_grid=config.p_grid,
-        r_grid=r_grid,
-        horizon=config.horizon,
         metadata=metadata,
     )
 

@@ -23,7 +23,7 @@ from .backtest import (
     summarize_best,
 )
 from .errors import DegenerateVarianceError, InvalidInputError, WindVecmError
-from .ingest import IngestOptions, load_panel
+from .ingest import load_panel
 from .metrics import dm_test
 from .model_io import write_model
 from .panel import DeterministicSpec, TimeSeriesPanel
@@ -68,10 +68,9 @@ def _load_source(args) -> TimeSeriesPanel:
     if args.sim is not None:
         spec = spec_from_json(Path(args.sim).read_text(encoding="utf-8"))
         return generate(spec)
-    options = IngestOptions(
-        max_gap_slots=args.max_gap, expected_regions=args.expected_regions
+    panel, report = load_panel(
+        args.data, max_gap_slots=args.max_gap, expected_regions=args.expected_regions
     )
-    panel, report = load_panel(args.data, options)
     print(
         f"loaded {panel.n_obs} x {panel.d} panel "
         f"({', '.join(report.regions_found)}); "
@@ -112,12 +111,11 @@ def _grid_lines(result: BacktestGridResult) -> list[str]:
     return lines
 
 
-def _grid_long_lines(result: BacktestGridResult, metrics_out: list[str]) -> list[str]:
+def _grid_long_lines(result: BacktestGridResult) -> list[str]:
     lines = ["T,p,r,metric,value"]
     for rec in result.records:
-        for name in metrics_out:
-            value = getattr(rec, name)
-            if value is not None:
+        if rec.mae is not None:
+            for name, value in (("mae", rec.mae), ("mse", rec.mse)):
                 lines.append(f"{rec.T},{rec.p},{rec.r},{name},{_format_float(value)}")
     return lines
 
@@ -193,12 +191,8 @@ def cmd_backtest(args) -> int:
     result = run_grid(panel, config, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_out = ["mae", "mse"] if args.metric == "both" else [args.metric]
-
     (out_dir / "grid.csv").write_text("\n".join(_grid_lines(result)) + "\n")
-    (out_dir / "grid_long.csv").write_text(
-        "\n".join(_grid_long_lines(result, metrics_out)) + "\n"
-    )
+    (out_dir / "grid_long.csv").write_text("\n".join(_grid_long_lines(result)) + "\n")
     (out_dir / "origins.csv").write_text(
         "origin\n" + "\n".join(str(int(o)) for o in result.origins) + "\n"
     )
@@ -206,7 +200,7 @@ def cmd_backtest(args) -> int:
     (out_dir / "metadata.csv").write_text("key,value\n" + "\n".join(meta_lines) + "\n")
 
     n_failed_total = sum(rec.n_failed for rec in result.records)
-    for metric in metrics_out:
+    for metric in ("mae", "mse"):
         table = _summary_table(result, metric)
         (out_dir / f"summary_{metric}.txt").write_text(table + "\n")
         (out_dir / f"summary_{metric}.csv").write_text(
@@ -223,7 +217,7 @@ def cmd_backtest(args) -> int:
 
 def _dm_line(name: str, loss_a, loss_b, kind: str) -> str:
     try:
-        res = dm_test(loss_a, loss_b, loss_kind=kind)
+        res = dm_test(loss_a, loss_b)
         return (
             f"DM {name} ({kind}): statistic {res.statistic:+.4f}, "
             f"p-value {res.p_value:.4g} (n={res.n_effective})"
@@ -255,12 +249,7 @@ def cmd_combine(args) -> int:
         f"MAE change vs A: {(result.mae_combined / result.mae_a - 1.0) * 100:+.2f}%  "
         f"vs B: {(result.mae_combined / result.mae_b - 1.0) * 100:+.2f}%",
     ]
-    kinds = (
-        ["absolute", "squared"] if args.metric == "both"
-        else ["absolute" if args.metric == "mae" else "squared"]
-    )
-    for kind in kinds:
-        losses = result.abs_losses if kind == "absolute" else result.sq_losses
+    for kind, losses in (("absolute", result.abs_losses), ("squared", result.sq_losses)):
         lines.append(_dm_line("combined vs A", losses["combined"], losses["a"], kind))
         lines.append(_dm_line("combined vs B", losses["combined"], losses["b"], kind))
     report = "\n".join(lines)
@@ -312,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of sampled forecast origins")
     bt.add_argument("--clip0", action="store_true",
                     help="floor forecasts at 0 MW")
-    bt.add_argument("--metric", choices=["mae", "mse", "both"], default="both")
     bt.add_argument("--workers", type=int, default=1,
                     help="worker processes, each running whole (T, p) units "
                          "(default 1, serial)")
@@ -330,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     comb.add_argument("--horizon", type=int, default=8)
     comb.add_argument("--origins", type=int, default=1000)
     comb.add_argument("--clip0", action="store_true")
-    comb.add_argument("--metric", choices=["mae", "mse", "both"], default="both")
     comb.add_argument("--out", default=None, help="optional output directory")
     comb.set_defaults(func=cmd_combine)
     return parser

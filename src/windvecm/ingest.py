@@ -35,14 +35,6 @@ _MISSING_TOKENS = {"", "na", "nan", "null", "none", "-"}
 
 
 @dataclass(frozen=True)
-class IngestOptions:
-    """Knobs for gap handling and schema checking."""
-
-    max_gap_slots: int = 8           # 8 quarter-hours = 2 h
-    expected_regions: int | None = None
-
-
-@dataclass(frozen=True)
 class IngestReport:
     """What ingestion read and how conflicts were resolved."""
 
@@ -147,14 +139,16 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_panel(
-    paths, options: IngestOptions | None = None
+    paths, *, max_gap_slots: int = 8, expected_regions: int | None = None
 ) -> tuple[TimeSeriesPanel, IngestReport]:
     """Ingest one or more delimited files into a clean panel plus a report.
 
     Region columns come out in sorted label order; the grid runs from the
-    first to the last instant covered by every region.
+    first to the last instant covered by every region. Interior gaps of at
+    most ``max_gap_slots`` grid steps (default 8, two hours) are filled;
+    ``expected_regions``, when given, is the exact number of regions the
+    input must hold, else ``SchemaError``.
     """
-    options = options or IngestOptions()
     if isinstance(paths, (str, Path)):
         paths = [paths]
     stamps: list[datetime] = []
@@ -167,10 +161,8 @@ def load_panel(
         raise SchemaError("no regions found in input")
     names, column = np.unique(labels, return_inverse=True)
     regions = tuple(names.tolist())
-    if options.expected_regions is not None and len(regions) != options.expected_regions:
-        raise SchemaError(
-            f"expected {options.expected_regions} regions, found {len(regions)}"
-        )
+    if expected_regions is not None and len(regions) != expected_regions:
+        raise SchemaError(f"expected {expected_regions} regions, found {len(regions)}")
 
     # one cell per distinct (region, timestamp); its readings are averaged
     readings = np.array(readings)
@@ -212,7 +204,7 @@ def load_panel(
     for col in values.T:
         starts, stops = _runs(np.isnan(col))
         # interior runs only: never extrapolate beyond observed endpoints
-        fill = (starts > 0) & (stops < n) & (stops - starts <= options.max_gap_slots)
+        fill = (starts > 0) & (stops < n) & (stops - starts <= max_gap_slots)
         for lo, hi in zip(starts[fill] - 1, stops[fill]):
             frac = (np.arange(lo + 1, hi) - lo) / (hi - lo)
             col[lo + 1 : hi] = col[lo] + frac * (col[hi] - col[lo])

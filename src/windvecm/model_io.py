@@ -101,13 +101,13 @@ class _Reader:
             raise ParseError(f"expected '{key} <value>', got {line!r}", line=self.pos)
         return parts[1]
 
-    def number(self, token: str, what: str, kind=float, minimum=-np.inf):
-        """``token`` of the line just read as a finite ``kind`` >= ``minimum``."""
+    def number(self, token: str, what: str, kind=float, minimum=-np.inf, below=np.inf):
+        """``token`` of the line just read as a ``kind`` in [``minimum``, ``below``)."""
         try:
             value = kind(token)
         except ValueError:
             value = np.nan
-        if not minimum <= value < np.inf:  # also false for NaN
+        if not minimum <= value < below:  # also false for NaN
             raise ParseError(f"invalid {what} {token!r}", line=self.pos)
         return value
 
@@ -154,7 +154,7 @@ def read_model(path) -> VarModel | VecmModel:
     p = reader.number(reader.scalar("p"), "p", int, 1)
     m = det.n_terms
     if kind == "vecm":
-        r = reader.number(reader.scalar("r"), "r", int, 0)
+        r = reader.number(reader.scalar("r"), "r", int, 0, d + 1)
         alpha = reader.matrix("alpha", d, r)
         beta = reader.matrix("beta", d, r)
         gamma = tuple(reader.matrix(f"gamma{k}", d, d) for k in range(1, p))

@@ -128,8 +128,29 @@ def test_combine_command_runs_and_reports(tmp_path, sim_spec_file, capsys):
     text = capsys.readouterr().out
     assert "model A (p=2, r=3)" in text
     assert "equal-weight combination" in text
-    assert "DM combined vs A" in text
+    for name in ("A", "B"):
+        for kind in ("absolute", "squared"):
+            assert f"DM combined vs {name} ({kind}): statistic" in text
     assert (out / "combine.csv").read_text().startswith("model,mae,mse")
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_backtest_rejects_fewer_than_one_worker(tmp_path, sim_spec_file, capsys,
+                                                monkeypatch, workers):
+    from windvecm import backtest
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no grid unit or pool may start")
+
+    monkeypatch.setattr(backtest, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(backtest, "_grid_unit", no_work)
+    code = main(["backtest", "--sim", str(sim_spec_file), "--window", "96",
+                 "--p", "1", "--origins", "3", "--workers", workers,
+                 "--out", str(tmp_path / "bt")])
+    assert code == 1
+    assert f"InvalidInputError: workers must be at least 1, got {workers}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_combine_identical_models_degenerate_dm(tmp_path, sim_spec_file, capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windvecm import (
-    IngestOptions,
     NoOverlapError,
     ParseError,
     SchemaError,
@@ -116,7 +115,7 @@ def test_long_gap_dropped_longest_segment_kept(tmp_path):
              "2020-01-01T01:45,n,8",
              "2020-01-01T02:00,n,9"]
     path = write(tmp_path, "gap.csv", "\n".join(lines))
-    panel, report = load_panel([path], IngestOptions(max_gap_slots=2))
+    panel, report = load_panel([path], max_gap_slots=2)
     assert np.array_equal(panel.values.ravel(), [6.0, 7.0, 8.0, 9.0])
     assert report.rows_dropped == 5
     assert report.gaps_filled == 0
@@ -167,7 +166,7 @@ def test_expected_region_schema_error(tmp_path):
     path = write(tmp_path, "s.csv",
                  "timestamp,region,value\n2020-01-01T00:00,a,1\n")
     with pytest.raises(SchemaError):
-        load_panel([path], IngestOptions(expected_regions=6))
+        load_panel([path], expected_regions=6)
 
 
 def test_parse_error_carries_line_number(tmp_path):

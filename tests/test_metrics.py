@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,17 +202,32 @@ def test_dm_power_against_clear_difference():
     assert result.statistic > 0
 
 
-def test_dm_metadata_and_bandwidth_variant():
+def test_dm_n_effective_is_the_number_of_pairs():
     rng = np.random.default_rng(4)
     a = rng.standard_normal(64) + 0.3
     b = rng.standard_normal(64)
-    plain = dm_test(a, b, loss_kind="squared")
-    assert plain.loss_kind == "squared"
-    assert plain.variance_estimator == "sample-variance"
-    assert plain.n_effective == 64
-    banded = dm_test(a, b, bandwidth=4)
-    assert banded.variance_estimator == "bartlett(L=4)"
-    assert banded.statistic != plain.statistic
+    assert dm_test(a, b).n_effective == 64
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_dm_rejects_non_finite_losses_at_the_input(bad, side):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(20)
+    b = rng.standard_normal(20)
+    (a if side == "a" else b)[7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+            dm_test(a, b)
+
+
+def test_dm_rejects_a_differential_that_overflows():
+    big = np.full(20, 1e308)
+    big[::2] = -1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInputError, match="overflows"):
+            dm_test(big, -big)
 
 
 def test_dm_preconditions():

@@ -87,6 +87,7 @@ def _replace_line(lines, prefix, new, offset=0):
         ("vecm", "matrix alpha", 1, "abc"),
         ("var", "matrix phi1", 0, "matrix phi1 one 1"),
         ("var", "p ", 0, "p 0"),
+        ("vecm", "r ", 0, "r 4"),
         ("vecm", "vector eigenvalues", 0, "vector eigenvalues"),
         ("vecm", "matrix alpha", 1, "nan"),
         ("var", "matrix psi", 1, "1e999"),
