@@ -55,13 +55,11 @@ from .panel import (
 )
 from .simulate import (
     DgpSpec,
-    SpecDiagnostics,
     cointegrated_spec,
     generate,
     random_walk_spec,
     spec_from_json,
     spec_to_json,
-    validate_spec,
 )
 from .var import VarModel, companion_matrix, fit_var, forecast_var
 from .vecm import VecmModel, fit_vecm, forecast_vecm, var_to_vecm, vecm_to_var
@@ -80,7 +78,6 @@ __all__ = [
     "ForecastPath",
     "IngestReport",
     "RegressionDesign",
-    "SpecDiagnostics",
     "TSummary",
     "TimeSeriesPanel",
     "VarModel",
@@ -124,7 +121,6 @@ __all__ = [
     "spec_from_json",
     "spec_to_json",
     "summarize_best",
-    "validate_spec",
     "var_to_vecm",
     "vecm_to_var",
     "write_model",

@@ -17,6 +17,7 @@ import numpy as np
 from .backtest import (
     BacktestConfig,
     BacktestGridResult,
+    TSummary,
     run_combination,
     run_grid,
     sample_origins,
@@ -120,8 +121,7 @@ def _grid_long_lines(result: BacktestGridResult) -> list[str]:
     return lines
 
 
-def _summary_table(result: BacktestGridResult, metric: str) -> str:
-    rows = summarize_best(result, metric)
+def _summary_table(rows: tuple[TSummary, ...], metric: str) -> str:
     headers = ["T/96 (=length in days)"] + [f"{r.T / 96:g}" for r in rows]
     body = [
         ["Best p"] + [str(r.best_p) if r.best_p is not None else "--" for r in rows],
@@ -157,8 +157,7 @@ def _summary_table(result: BacktestGridResult, metric: str) -> str:
     return "\n".join(out)
 
 
-def _summary_csv_lines(result: BacktestGridResult, metric: str) -> list[str]:
-    rows = summarize_best(result, metric)
+def _summary_csv_lines(rows: tuple[TSummary, ...]) -> list[str]:
     lines = ["T,best_p,best_r,best_loss,improvement_vs_diff_var,improvement_vs_levels_var,note"]
     for r in rows:
         cells = [
@@ -201,10 +200,11 @@ def cmd_backtest(args) -> int:
 
     n_failed_total = sum(rec.n_failed for rec in result.records)
     for metric in ("mae", "mse"):
-        table = _summary_table(result, metric)
+        rows = summarize_best(result, metric)
+        table = _summary_table(rows, metric)
         (out_dir / f"summary_{metric}.txt").write_text(table + "\n")
         (out_dir / f"summary_{metric}.csv").write_text(
-            "\n".join(_summary_csv_lines(result, metric)) + "\n"
+            "\n".join(_summary_csv_lines(rows)) + "\n"
         )
         print(table)
         print()
@@ -228,6 +228,11 @@ def _dm_line(name: str, loss_a, loss_b, kind: str) -> str:
         return f"DM {name} ({kind}): not computed ({exc})"
 
 
+def _change(value: float, base: float) -> str:
+    """Relative change of ``value`` against ``base`` in percent; ``--`` for a zero base."""
+    return f"{(value / base - 1.0) * 100:+.2f}%" if base else "--"
+
+
 def cmd_combine(args) -> int:
     panel = _load_source(args)
     det = DeterministicSpec(args.det)
@@ -246,8 +251,8 @@ def cmd_combine(args) -> int:
         f"model B (p={p_b}, r={r_b}):  MAE {result.mae_b:.6g}  MSE {result.mse_b:.6g}",
         f"equal-weight combination: MAE {result.mae_combined:.6g}  "
         f"MSE {result.mse_combined:.6g}",
-        f"MAE change vs A: {(result.mae_combined / result.mae_a - 1.0) * 100:+.2f}%  "
-        f"vs B: {(result.mae_combined / result.mae_b - 1.0) * 100:+.2f}%",
+        f"MAE change vs A: {_change(result.mae_combined, result.mae_a)}  "
+        f"vs B: {_change(result.mae_combined, result.mae_b)}",
     ]
     for kind, losses in (("absolute", result.abs_losses), ("squared", result.sq_losses)):
         lines.append(_dm_line("combined vs A", losses["combined"], losses["a"], kind))

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NoOverlapError, ParseError, SchemaError
+from .errors import InvalidInputError, NoOverlapError, ParseError, SchemaError
 from .panel import QUARTER_HOUR, TimeSeriesPanel
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "-"}
@@ -145,10 +145,13 @@ def load_panel(
 
     Region columns come out in sorted label order; the grid runs from the
     first to the last instant covered by every region. Interior gaps of at
-    most ``max_gap_slots`` grid steps (default 8, two hours) are filled;
-    ``expected_regions``, when given, is the exact number of regions the
-    input must hold, else ``SchemaError``.
+    most ``max_gap_slots`` grid steps (default 8, two hours; a negative
+    value raises `InvalidInputError`) are filled; ``expected_regions``, when
+    given, is the exact number of regions the input must hold, else
+    ``SchemaError``.
     """
+    if max_gap_slots < 0:
+        raise InvalidInputError(f"max_gap_slots must be >= 0, got {max_gap_slots}")
     if isinstance(paths, (str, Path)):
         paths = [paths]
     stamps: list[datetime] = []

@@ -48,37 +48,22 @@ def _format_matrix(name: str, mat: np.ndarray) -> list[str]:
 
 
 def write_model(model: VarModel | VecmModel, path) -> None:
-    lines = [_MAGIC]
     if isinstance(model, VecmModel):
-        lines += [
-            "kind vecm",
-            f"det {model.det.value}",
-            f"d {model.d}",
-            f"p {model.p}",
-            f"r {model.r}",
-        ]
-        lines += _format_matrix("alpha", model.alpha)
-        lines += _format_matrix("beta", model.beta)
-        for k, g in enumerate(model.gamma, start=1):
-            lines += _format_matrix(f"gamma{k}", g)
-        lines += _format_matrix("psi", model.psi)
-        lines += _format_matrix("resid_cov", model.resid_cov)
-        if model.eigenvalues is not None:
-            lines.append(f"vector eigenvalues {model.eigenvalues.size}")
-            lines.append(" ".join(f"{v:.17g}" for v in model.eigenvalues))
+        kind, extra, eigenvalues = "vecm", [f"r {model.r}"], model.eigenvalues
+        own = [("alpha", model.alpha), ("beta", model.beta)]
+        own += [(f"gamma{k}", g) for k, g in enumerate(model.gamma, start=1)]
     elif isinstance(model, VarModel):
-        lines += [
-            "kind var",
-            f"det {model.det.value}",
-            f"d {model.d}",
-            f"p {model.p}",
-        ]
-        for k, m in enumerate(model.phi, start=1):
-            lines += _format_matrix(f"phi{k}", m)
-        lines += _format_matrix("psi", model.psi)
-        lines += _format_matrix("resid_cov", model.resid_cov)
+        kind, extra, eigenvalues = "var", [], None
+        own = [(f"phi{k}", m) for k, m in enumerate(model.phi, start=1)]
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    lines = [_MAGIC, f"kind {kind}", f"det {model.det.value}", f"d {model.d}",
+             f"p {model.p}", *extra]
+    for name, mat in own + [("psi", model.psi), ("resid_cov", model.resid_cov)]:
+        lines += _format_matrix(name, mat)
+    if eigenvalues is not None:
+        lines.append(f"vector eigenvalues {eigenvalues.size}")
+        lines.append(" ".join(f"{v:.17g}" for v in eigenvalues))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -152,27 +137,26 @@ def read_model(path) -> VarModel | VecmModel:
         raise ParseError(f"unknown det {det_name!r}", line=reader.pos) from None
     d = reader.number(reader.scalar("d"), "d", int, 0)
     p = reader.number(reader.scalar("p"), "p", int, 1)
-    m = det.n_terms
     if kind == "vecm":
         r = reader.number(reader.scalar("r"), "r", int, 0, d + 1)
         alpha = reader.matrix("alpha", d, r)
         beta = reader.matrix("beta", d, r)
         gamma = tuple(reader.matrix(f"gamma{k}", d, d) for k in range(1, p))
-        psi = reader.matrix("psi", d, m)
-        resid_cov = reader.matrix("resid_cov", d, d)
-        eigenvalues = None
-        if reader.pos < len(reader.lines) and reader.lines[reader.pos].startswith(
-            "vector eigenvalues"
-        ):
-            reader.header(["vector", "eigenvalues"], [d])
-            eigenvalues = np.array(reader.row("vector eigenvalues", d))
-        return VecmModel(
-            alpha=alpha, beta=beta, gamma=gamma, psi=psi, det=det,
-            eigenvalues=eigenvalues, r=r, p=p, resid_cov=resid_cov,
-        )
-    if kind == "var":
+    elif kind == "var":
         phi = tuple(reader.matrix(f"phi{k}", d, d) for k in range(1, p + 1))
-        psi = reader.matrix("psi", d, m)
-        resid_cov = reader.matrix("resid_cov", d, d)
+    else:
+        raise ParseError(f"unknown model kind {kind!r}")
+    psi = reader.matrix("psi", d, det.n_terms)
+    resid_cov = reader.matrix("resid_cov", d, d)
+    if kind == "var":
         return VarModel(phi=phi, psi=psi, det=det, resid_cov=resid_cov)
-    raise ParseError(f"unknown model kind {kind!r}")
+    eigenvalues = None
+    if reader.pos < len(reader.lines) and reader.lines[reader.pos].startswith(
+        "vector eigenvalues"
+    ):
+        reader.header(["vector", "eigenvalues"], [d])
+        eigenvalues = np.array(reader.row("vector eigenvalues", d))
+    return VecmModel(
+        alpha=alpha, beta=beta, gamma=gamma, psi=psi, det=det,
+        eigenvalues=eigenvalues, resid_cov=resid_cov,
+    )

@@ -27,34 +27,11 @@ BURN_IN = 200
 UNIT_ROOT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SpecDiagnostics:
-    """Companion-matrix root moduli (sorted descending) and unit-root count."""
+#: Loading of `cointegrated_spec`: alpha = -SPEC_ADJUST * beta.
+SPEC_ADJUST = 0.4
 
-    root_moduli: np.ndarray
-    n_unit_roots: int
-
-
-def _implied_var(alpha, beta, gamma, noise_cov) -> "VecmModel":
-    d = alpha.shape[0]
-    return VecmModel(
-        alpha=alpha,
-        beta=beta,
-        gamma=tuple(gamma),
-        psi=np.zeros((d, 0)),
-        det=DeterministicSpec.NONE,
-        eigenvalues=None,
-        r=alpha.shape[1],
-        p=len(gamma) + 1,
-        resid_cov=noise_cov,
-    )
-
-
-def _diagnostics(alpha, beta, gamma, noise_cov) -> SpecDiagnostics:
-    var = vecm_to_var(_implied_var(alpha, beta, gamma, noise_cov))
-    moduli = np.sort(np.abs(np.linalg.eigvals(companion_matrix(var.phi))))[::-1]
-    n_unit = int(np.sum(np.abs(moduli - 1.0) <= UNIT_ROOT_TOL))
-    return SpecDiagnostics(root_moduli=moduli, n_unit_roots=n_unit)
+#: Short-run scale of `cointegrated_spec`: gamma_k = SPEC_SHORT_RUN * 0.5**(k-1) * I.
+SPEC_SHORT_RUN = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +39,15 @@ class DgpSpec:
     """Cointegrated data-generating process.
 
     dY_t = alpha beta' Y_{t-1} + sum_k gamma[k] dY_{t-k} + eps_t with
-    eps_t ~ N(0, noise_cov). Construction validates the spectral condition:
-    no root of the implied companion matrix outside the unit circle and
-    exactly d - r_true unit roots. The spec keeps read-only copies of its
-    arrays, so the condition holds for as long as the spec exists.
+    eps_t ~ N(0, noise_cov). ``alpha`` and ``beta`` are d x r_true, and d,
+    r_true and p_true are read off the arrays. Construction validates the
+    spectral condition: no root of the implied companion matrix outside the
+    unit circle and exactly d - r_true unit roots. ``root_moduli`` keeps
+    those companion root moduli, sorted descending. The spec keeps
+    read-only copies of its arrays, so the condition holds for as long as
+    the spec exists.
     """
 
-    d: int
-    r_true: int
     alpha: np.ndarray
     beta: np.ndarray
     gamma: tuple[np.ndarray, ...]
@@ -77,26 +55,31 @@ class DgpSpec:
     n_obs: int
     seed: int
     initial: np.ndarray
+    d: int = field(init=False)
+    r_true: int = field(init=False)
     p_true: int = field(init=False)
+    root_moduli: np.ndarray = field(init=False)
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float)
         beta = np.array(self.beta, dtype=float)
-        if alpha.shape != (self.d, self.r_true) or beta.shape != (self.d, self.r_true):
+        if alpha.ndim != 2 or beta.shape != alpha.shape:
             raise InvalidSpecError(
-                f"alpha/beta must be {self.d} x {self.r_true}, got "
-                f"{alpha.shape} and {beta.shape}"
+                f"alpha/beta must both be d x r_true, got {alpha.shape} and {beta.shape}"
             )
+        d, r_true = alpha.shape
+        if r_true > d:
+            raise InvalidSpecError(f"r_true {r_true} outside [0, {d}]")
         gamma = tuple(np.array(g, dtype=float) for g in self.gamma)
         for g in gamma:
-            if g.shape != (self.d, self.d):
+            if g.shape != (d, d):
                 raise InvalidSpecError("every gamma matrix must be d x d")
         cov = np.array(self.noise_cov, dtype=float)
-        if cov.shape != (self.d, self.d) or not np.allclose(cov, cov.T):
+        if cov.shape != (d, d) or not np.allclose(cov, cov.T):
             raise InvalidSpecError("noise_cov must be a symmetric d x d matrix")
         initial = np.array(self.initial, dtype=float).reshape(-1)
-        if initial.shape != (self.d,):
-            raise InvalidSpecError(f"initial state must have {self.d} entries")
+        if initial.shape != (d,):
+            raise InvalidSpecError(f"initial state must have {d} entries")
         for arr in (alpha, beta, cov, initial, *gamma):
             if not np.isfinite(arr).all():
                 raise InvalidSpecError("spec arrays contain NaN or infinite entries")
@@ -110,24 +93,27 @@ class DgpSpec:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "noise_cov", cov)
         object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r_true", r_true)
         object.__setattr__(self, "p_true", len(gamma) + 1)
 
-        diag = _diagnostics(alpha, beta, gamma, cov)
-        if np.any(diag.root_moduli > 1.0 + UNIT_ROOT_TOL):
+        implied = VecmModel(
+            alpha=alpha, beta=beta, gamma=gamma, psi=np.zeros((d, 0)),
+            det=DeterministicSpec.NONE, eigenvalues=None, resid_cov=cov,
+        )
+        eigvals = np.linalg.eigvals(companion_matrix(vecm_to_var(implied).phi))
+        moduli = np.sort(np.abs(eigvals))[::-1]
+        moduli.setflags(write=False)
+        object.__setattr__(self, "root_moduli", moduli)
+        if np.any(moduli > 1.0 + UNIT_ROOT_TOL):
             raise InvalidSpecError(
-                f"explosive spec: largest companion root modulus "
-                f"{diag.root_moduli[0]:.6f} > 1"
+                f"explosive spec: largest companion root modulus {moduli[0]:.6f} > 1"
             )
-        if diag.n_unit_roots != self.d - self.r_true:
+        n_unit = int(np.sum(np.abs(moduli - 1.0) <= UNIT_ROOT_TOL))
+        if n_unit != d - r_true:
             raise InvalidSpecError(
-                f"spec implies {diag.n_unit_roots} unit roots, expected "
-                f"d - r_true = {self.d - self.r_true}"
+                f"spec implies {n_unit} unit roots, expected d - r_true = {d - r_true}"
             )
-
-
-def validate_spec(spec: DgpSpec) -> SpecDiagnostics:
-    """Companion root moduli and unit-root count of a spec."""
-    return _diagnostics(spec.alpha, spec.beta, spec.gamma, spec.noise_cov)
 
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
@@ -176,48 +162,39 @@ def cointegrated_spec(
     n_obs: int = 2000,
     seed: int = 0,
     p_true: int = 2,
-    adjust: float = 0.4,
-    short_run: float = 0.25,
-    noise_scale: float = 1.0,
 ) -> DgpSpec:
-    """Library DGP: orthonormal cointegrating directions, loading -adjust.
+    """Library DGP: orthonormal cointegrating directions, loading -SPEC_ADJUST.
 
     The cointegrating space is a fixed (seed-independent) orthonormal basis,
     so the same (d, r_true) always shares one true space across data seeds;
-    the seed only drives the noise. Short-run dynamics are short_run * I per
-    lag. Valid for 0 <= r_true <= d.
+    the seed only drives the unit-variance noise. Short-run dynamics are
+    SPEC_SHORT_RUN * 0.5**(k-1) * I at lag k. Valid for 0 <= r_true <= d.
     """
     if not 0 <= r_true <= d:
         raise InvalidInputError(f"r_true outside [0, {d}]")
     basis_rng = np.random.default_rng(19156)
     q, _ = np.linalg.qr(basis_rng.standard_normal((d, d)))
     beta = q[:, :r_true]
-    alpha = -adjust * beta
-    gamma = tuple(short_run * 0.5**k * np.eye(d) for k in range(p_true - 1))
+    alpha = -SPEC_ADJUST * beta
+    gamma = tuple(SPEC_SHORT_RUN * 0.5**k * np.eye(d) for k in range(p_true - 1))
     return DgpSpec(
-        d=d,
-        r_true=r_true,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
-        noise_cov=noise_scale**2 * np.eye(d),
+        noise_cov=np.eye(d),
         n_obs=n_obs,
         seed=seed,
         initial=np.zeros(d),
     )
 
 
-def random_walk_spec(
-    d: int, n_obs: int, seed: int = 0, noise_scale: float = 1.0
-) -> DgpSpec:
-    """d independent random walks (r_true = 0, no short-run dynamics)."""
+def random_walk_spec(d: int, n_obs: int, seed: int = 0) -> DgpSpec:
+    """d independent unit-variance random walks (r_true = 0, no short-run dynamics)."""
     return DgpSpec(
-        d=d,
-        r_true=0,
         alpha=np.zeros((d, 0)),
         beta=np.zeros((d, 0)),
         gamma=(),
-        noise_cov=noise_scale**2 * np.eye(d),
+        noise_cov=np.eye(d),
         n_obs=n_obs,
         seed=seed,
         initial=np.zeros(d),
@@ -266,14 +243,16 @@ def spec_from_json(text: str) -> DgpSpec:
 
     def _matrix(key: str, rows: int, cols: int) -> np.ndarray:
         arr = np.asarray(payload[key], dtype=float)
-        return arr.reshape(rows, cols) if arr.size else np.zeros((rows, cols))
+        if arr.size != rows * cols:
+            raise InvalidSpecError(
+                f"spec JSON field {key!r} must hold d x r_true = {rows} x {cols} values"
+            )
+        return arr.reshape(rows, cols)
 
     try:
         d = _integer("d")
         r_true = _integer("r_true")
         fields = dict(
-            d=d,
-            r_true=r_true,
             alpha=_matrix("alpha", d, r_true),
             beta=_matrix("beta", d, r_true),
             gamma=tuple(np.asarray(g, dtype=float) for g in payload.get("gamma", [])),

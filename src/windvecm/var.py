@@ -49,19 +49,28 @@ class VarModel:
         for m in phi:
             if m.shape != (d, d):
                 raise InvalidInputError("every phi matrix must be d x d")
-        psi = np.asarray(self.psi, dtype=float)
-        if psi.shape != (d, self.det.n_terms):
-            raise InvalidInputError(
-                f"psi must be d x m = {d} x {self.det.n_terms}, got {psi.shape}"
-            )
-        cov = np.asarray(self.resid_cov, dtype=float)
-        if cov.shape != (d, d):
-            raise InvalidInputError("resid_cov must be d x d")
+        _set_shared_fields(self, d)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "resid_cov", cov)
         object.__setattr__(self, "p", len(phi))
-        object.__setattr__(self, "d", d)
+
+
+def _set_shared_fields(model, d: int) -> None:
+    """Check and store what `VarModel` and `VecmModel` share.
+
+    ``psi`` must be d x m (m deterministic terms of ``model.det``) and
+    ``resid_cov`` d x d; both are stored as float arrays, along with ``d``.
+    """
+    psi = np.asarray(model.psi, dtype=float)
+    if psi.shape != (d, model.det.n_terms):
+        raise InvalidInputError(
+            f"psi must be d x m = {d} x {model.det.n_terms}, got {psi.shape}"
+        )
+    cov = np.asarray(model.resid_cov, dtype=float)
+    if cov.shape != (d, d):
+        raise InvalidInputError("resid_cov must be d x d")
+    object.__setattr__(model, "psi", psi)
+    object.__setattr__(model, "resid_cov", cov)
+    object.__setattr__(model, "d", d)
 
 
 def companion_matrix(phi: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarray:

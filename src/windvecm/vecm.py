@@ -31,7 +31,7 @@ from .errors import (
 from .lstsq import solve_ls
 from .metrics import ForecastPath
 from .panel import DeterministicSpec, TimeSeriesPanel, build_design
-from .var import VarModel, forecast_var
+from .var import VarModel, _set_shared_fields, forecast_var
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,10 +40,10 @@ class VecmModel:
 
     ``alpha`` (loadings) and ``beta`` (cointegrating vectors) are d x r;
     both are empty for r = 0. ``gamma`` holds the p-1 short-run matrices.
-    ``eigenvalues`` are the d Johansen eigenvalues sorted descending in
-    [0, 1); they are None for models obtained by conversion from a VAR (no
-    eigenproblem was solved) or when the moment matrices were degenerate in
-    an r = 0 fit.
+    The sizes d, r and p are read off these arrays. ``eigenvalues`` are the
+    d Johansen eigenvalues sorted descending in [0, 1); they are None for
+    models obtained by conversion from a VAR (no eigenproblem was solved)
+    or when the moment matrices were degenerate in an r = 0 fit.
     """
 
     alpha: np.ndarray
@@ -52,9 +52,9 @@ class VecmModel:
     psi: np.ndarray
     det: DeterministicSpec
     eigenvalues: np.ndarray | None
-    r: int
-    p: int
     resid_cov: np.ndarray
+    r: int = field(init=False)
+    p: int = field(init=False)
     d: int = field(init=False)
 
     def __post_init__(self):
@@ -62,30 +62,18 @@ class VecmModel:
         beta = np.asarray(self.beta, dtype=float)
         if alpha.ndim != 2 or beta.ndim != 2:
             raise InvalidInputError("alpha and beta must be 2-D (d x r)")
-        d = alpha.shape[0]
-        if not 0 <= self.r <= d:
-            raise InvalidRankError(f"rank {self.r} outside [0, {d}]")
-        if alpha.shape != (d, self.r) or beta.shape != (d, self.r):
+        d, r = alpha.shape
+        if r > d:
+            raise InvalidRankError(f"rank {r} outside [0, {d}]")
+        if beta.shape != alpha.shape:
             raise InvalidInputError(
-                f"alpha/beta must be d x r = {d} x {self.r}, got "
-                f"{alpha.shape} and {beta.shape}"
+                f"alpha/beta must both be d x r, got {alpha.shape} and {beta.shape}"
             )
-        if self.p < 1:
-            raise InvalidInputError(f"lag order must be >= 1, got {self.p}")
         gamma = tuple(np.asarray(g, dtype=float) for g in self.gamma)
-        if len(gamma) != self.p - 1:
-            raise InvalidInputError(f"need p - 1 = {self.p - 1} gamma matrices")
         for g in gamma:
             if g.shape != (d, d):
                 raise InvalidInputError("every gamma matrix must be d x d")
-        psi = np.asarray(self.psi, dtype=float)
-        if psi.shape != (d, self.det.n_terms):
-            raise InvalidInputError(
-                f"psi must be d x m = {d} x {self.det.n_terms}, got {psi.shape}"
-            )
-        cov = np.asarray(self.resid_cov, dtype=float)
-        if cov.shape != (d, d):
-            raise InvalidInputError("resid_cov must be d x d")
+        _set_shared_fields(self, d)
         eig = self.eigenvalues
         if eig is not None:
             eig = np.asarray(eig, dtype=float)
@@ -98,10 +86,9 @@ class VecmModel:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "resid_cov", cov)
         object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", len(gamma) + 1)
 
     @property
     def pi(self) -> np.ndarray:
@@ -213,8 +200,6 @@ def fit_vecm(
         psi=psi,
         det=det,
         eigenvalues=eigenvalues,
-        r=r,
-        p=p,
         resid_cov=resid_cov,
     )
 
@@ -262,8 +247,6 @@ def var_to_vecm(model: VarModel) -> VecmModel:
         psi=model.psi.copy(),
         det=model.det,
         eigenvalues=None,
-        r=d,
-        p=p,
         resid_cov=model.resid_cov.copy(),
     )
 

@@ -153,6 +153,38 @@ def test_backtest_rejects_fewer_than_one_worker(tmp_path, sim_spec_file, capsys,
     )
 
 
+def test_fit_rejects_negative_max_gap(tmp_path, capsys):
+    data = tmp_path / "gap.csv"
+    data.write_text("\n".join([
+        "timestamp,east,west",
+        "2020-01-01T00:00,1,10",
+        "2020-01-01T00:15,NA,12",
+        "2020-01-01T00:30,3,14",
+    ]))
+    out = tmp_path / "m.txt"
+    code = main(["fit", "--data", str(data), "--max-gap", "-3", "--p", "1",
+                 "--out", str(out)])
+    assert code == 1
+    assert "InvalidInputError: max_gap_slots must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_combine_reports_no_change_against_a_zero_mae(tmp_path, capsys):
+    # A constant panel: persistence (p=1, r=0) is exact, so both models have
+    # MAE 0 and the relative change has no base.
+    from windvecm import TimeSeriesPanel, save_wide
+
+    data = tmp_path / "flat.csv"
+    save_wide(TimeSeriesPanel.from_values(np.full((200, 2), 5.0), labels=("n", "s")), data)
+    code = main(["combine", "--data", str(data),
+                 "--model-a", "1,0", "--model-b", "1,0",
+                 "--window", "96", "--origins", "20", "--horizon", "4"])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "model A (p=1, r=0):  MAE 0  MSE 0" in text
+    assert "MAE change vs A: --  vs B: --" in text
+
+
 def test_combine_identical_models_degenerate_dm(tmp_path, sim_spec_file, capsys):
     code = main(["combine", "--sim", str(sim_spec_file),
                  "--model-a", "2,1", "--model-b", "2,1",
@@ -193,10 +225,12 @@ def test_data_and_sim_are_exclusive(tmp_path, sim_spec_file):
         ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
         '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
         ' "noise_cov": [[1, 0], [0, 1]], "n_obs": "300"}',
+        '{"d": 2, "r_true": -1, "alpha": [1, 0], "beta": [1, 0],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
     ],
     ids=["not-an-object", "alpha-size", "ragged-gamma", "n_obs-type", "nan-gamma",
          "negative-seed", "fractional-n_obs", "bool-n_obs", "fractional-seed",
-         "fractional-d", "bool-r_true", "string-n_obs"],
+         "fractional-d", "bool-r_true", "string-n_obs", "negative-r_true"],
 )
 def test_backtest_malformed_spec_exits_1(tmp_path, capsys, payload):
     spec = tmp_path / "spec.json"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from windvecm import (
+    InvalidInputError,
     NoOverlapError,
     ParseError,
     SchemaError,
@@ -90,6 +91,20 @@ def test_wide_form_missing_cell_interpolated(tmp_path):
     panel, report = load_panel([path])
     assert np.array_equal(panel.values, [[1.0, 10.0], [2.0, 12.0], [3.0, 14.0]])
     assert report.gaps_filled == 1
+
+
+@pytest.mark.parametrize("max_gap_slots", [-1, -3])
+def test_negative_gap_length_is_rejected(tmp_path, max_gap_slots):
+    path = write(tmp_path, "wm.csv", "\n".join([
+        "timestamp,east,west",
+        "2020-01-01T00:00,1,10",
+        "2020-01-01T00:15,NA,12",
+        "2020-01-01T00:30,3,14",
+    ]))
+    with pytest.raises(InvalidInputError, match=f"max_gap_slots must be >= 0, got {max_gap_slots}"):
+        load_panel([path], max_gap_slots=max_gap_slots)
+    panel, report = load_panel([path], max_gap_slots=0)
+    assert panel.n_obs == 1 and report.rows_dropped == 2
 
 
 def test_timezone_offsets_normalized_to_utc(tmp_path):

@@ -13,6 +13,7 @@ from windvecm import (
     read_model,
     write_model,
 )
+from windvecm.var import VarModel
 from windvecm.vecm import VecmModel
 
 
@@ -114,3 +115,76 @@ def test_read_rejects_malformed_line_with_its_number(tmp_path, kind, prefix, off
     with pytest.raises(ParseError) as info:
         read_model(path)
     assert info.value.line == line_no
+
+
+GOLDEN_VAR = """\
+windvecm-model 1
+kind var
+det constant
+d 2
+p 2
+matrix phi1 2 2
+0.5 -0.25
+0.125 1
+matrix phi2 2 2
+0 0.10000000000000001
+-2 0.75
+matrix psi 2 1
+1.5
+-0.5
+matrix resid_cov 2 2
+1 0.25
+0.25 2
+"""
+
+GOLDEN_VECM = """\
+windvecm-model 1
+kind vecm
+det constant
+d 2
+p 2
+r 1
+matrix alpha 2 1
+-0.5
+0.25
+matrix beta 2 1
+1
+-1
+matrix gamma1 2 2
+0.20000000000000001 0
+0 -0.29999999999999999
+matrix psi 2 1
+0.5
+3
+matrix resid_cov 2 2
+1 0
+0 0.5
+vector eigenvalues 2
+0.375 0.0625
+"""
+
+
+def test_written_text_is_pinned(tmp_path):
+    # Exact file text for a hand-built VAR and VECM: the header, every
+    # section and its order, and the %.17g rendering.
+    var = VarModel(
+        phi=(np.array([[0.5, -0.25], [0.125, 1.0]]), np.array([[0.0, 0.1], [-2.0, 0.75]])),
+        psi=np.array([[1.5], [-0.5]]),
+        det=DeterministicSpec.CONSTANT,
+        resid_cov=np.array([[1.0, 0.25], [0.25, 2.0]]),
+    )
+    vecm = VecmModel(
+        alpha=np.array([[-0.5], [0.25]]),
+        beta=np.array([[1.0], [-1.0]]),
+        gamma=(np.array([[0.2, 0.0], [0.0, -0.3]]),),
+        psi=np.array([[0.5], [3.0]]),
+        det=DeterministicSpec.CONSTANT,
+        eigenvalues=np.array([0.375, 0.0625]),
+        resid_cov=np.array([[1.0, 0.0], [0.0, 0.5]]),
+    )
+    for model, golden in ((var, GOLDEN_VAR), (vecm, GOLDEN_VECM)):
+        path = tmp_path / "model.txt"
+        write_model(model, path)
+        assert path.read_text(encoding="utf-8") == golden
+        write_model(read_model(path), path)
+        assert path.read_text(encoding="utf-8") == golden

@@ -9,8 +9,11 @@ from windvecm import (
     random_walk_spec,
     spec_from_json,
     spec_to_json,
-    validate_spec,
+    vecm_to_var,
 )
+from windvecm.panel import DeterministicSpec
+from windvecm.var import companion_matrix
+from windvecm.vecm import VecmModel
 
 
 def test_same_seed_same_panel():
@@ -23,8 +26,6 @@ def test_same_seed_same_panel():
 def test_spec_arrays_are_read_only_copies():
     alpha = -0.4 * np.array([[1.0], [0.0]])
     spec = DgpSpec(
-        d=2,
-        r_true=1,
         alpha=alpha,
         beta=np.array([[1.0], [0.0]]),
         gamma=(0.2 * np.eye(2),),
@@ -63,8 +64,6 @@ def test_generate_matches_plain_simulation_bit_for_bit():
 
 def test_zero_noise_zero_dynamics_is_constant():
     spec = DgpSpec(
-        d=2,
-        r_true=0,
         alpha=np.zeros((2, 0)),
         beta=np.zeros((2, 0)),
         gamma=(),
@@ -107,32 +106,27 @@ def test_cointegrating_combination_is_stationary():
 
 
 def test_random_walk_spec_has_unit_roots_only():
-    diag = validate_spec(random_walk_spec(2, 100, seed=0))
-    assert diag.n_unit_roots == 2
-    assert np.allclose(diag.root_moduli, 1.0)
+    spec = random_walk_spec(2, 100, seed=0)
+    assert (spec.d, spec.r_true) == (2, 0)
+    assert np.allclose(spec.root_moduli, 1.0)
 
 
 def test_stationary_spec_has_no_unit_roots():
-    diag = validate_spec(cointegrated_spec(d=3, r_true=3, n_obs=100, seed=0))
-    assert diag.n_unit_roots == 0
-    assert diag.root_moduli.max() < 1.0
+    spec = cointegrated_spec(d=3, r_true=3, n_obs=100, seed=0)
+    assert (spec.d, spec.r_true) == (3, 3)
+    assert spec.root_moduli.max() < 1.0
 
 
 def test_library_spec_unit_root_count_matches_polynomial_oracle():
     # Companion eigenvalues vs the determinant of the lag polynomial at
     # z = 1: rank deficiency of phi(1) = I - Phi_1 - Phi_2 counts unit roots.
     spec = cointegrated_spec(d=4, r_true=2, n_obs=100, seed=0)
-    diag = validate_spec(spec)
-    assert diag.n_unit_roots == 2
-
-    from windvecm import vecm_to_var
-    from windvecm.vecm import VecmModel
-    from windvecm.panel import DeterministicSpec
+    assert int(np.sum(np.abs(spec.root_moduli - 1.0) <= 1e-6)) == 2
 
     model = VecmModel(
         alpha=spec.alpha, beta=spec.beta, gamma=spec.gamma,
         psi=np.zeros((4, 0)), det=DeterministicSpec.NONE, eigenvalues=None,
-        r=2, p=2, resid_cov=np.eye(4),
+        resid_cov=np.eye(4),
     )
     var = vecm_to_var(model)
     poly_at_one = np.eye(4) - sum(var.phi)
@@ -140,11 +134,35 @@ def test_library_spec_unit_root_count_matches_polynomial_oracle():
     assert 4 - rank == 2
 
 
+@pytest.mark.parametrize("d, r_true, p_true", [(2, 0, 1), (3, 1, 2), (4, 2, 3), (3, 3, 2)])
+def test_spec_sizes_and_root_moduli_come_from_its_arrays(d, r_true, p_true):
+    spec = cointegrated_spec(d=d, r_true=r_true, n_obs=50, seed=0, p_true=p_true)
+    assert (spec.d, spec.r_true, spec.p_true) == (d, r_true, p_true)
+    model = VecmModel(
+        alpha=spec.alpha, beta=spec.beta, gamma=spec.gamma, psi=np.zeros((d, 0)),
+        det=DeterministicSpec.NONE, eigenvalues=None, resid_cov=spec.noise_cov,
+    )
+    moduli = np.abs(np.linalg.eigvals(companion_matrix(vecm_to_var(model).phi)))
+    assert np.array_equal(spec.root_moduli, np.sort(moduli)[::-1])
+    with pytest.raises(ValueError):
+        spec.root_moduli[0] = 0.0
+    with pytest.raises(AttributeError):
+        spec.root_moduli = np.zeros(d * p_true)
+
+
+def test_spec_alpha_beta_shapes_are_checked():
+    base = dict(gamma=(), noise_cov=np.eye(2), n_obs=10, seed=0, initial=np.zeros(2))
+    with pytest.raises(InvalidSpecError, match="alpha/beta"):
+        DgpSpec(alpha=np.zeros((2, 1)), beta=np.zeros((2, 0)), **base)
+    with pytest.raises(InvalidSpecError, match="alpha/beta"):
+        DgpSpec(alpha=np.zeros(2), beta=np.zeros(2), **base)
+    with pytest.raises(InvalidSpecError, match="r_true 3 outside"):
+        DgpSpec(alpha=np.zeros((2, 3)), beta=np.zeros((2, 3)), **base)
+
+
 def test_explosive_spec_rejected():
     with pytest.raises(InvalidSpecError):
         DgpSpec(
-            d=1,
-            r_true=1,
             alpha=np.array([[0.8]]),   # Pi = 0.8 -> phi_1 = 1.8, explosive
             beta=np.array([[1.0]]),
             gamma=(),
@@ -156,11 +174,21 @@ def test_explosive_spec_rejected():
 
 
 def test_wrong_unit_root_count_rejected():
-    # stationary dynamics declared as r_true=0 (should imply 1 unit root)
+    # a zero loading makes Pi = 0 although alpha is 1 x 1 (r_true = 1):
+    # one unit root where d - r_true = 0 are expected
+    with pytest.raises(InvalidSpecError, match="implies 1 unit roots"):
+        DgpSpec(
+            alpha=np.array([[0.0]]),
+            beta=np.array([[1.0]]),
+            gamma=(),
+            noise_cov=np.eye(1),
+            n_obs=10,
+            seed=0,
+            initial=np.zeros(1),
+        )
+    # r_true = 0 with an explosive short-run root is rejected as well
     with pytest.raises(InvalidSpecError):
         DgpSpec(
-            d=1,
-            r_true=0,
             alpha=np.zeros((1, 0)),
             beta=np.zeros((1, 0)),
             gamma=(np.array([[2.0]]),),  # explosive short-run

@@ -7,6 +7,7 @@ from helpers import simulate_var_panel, stable_var_model
 
 from windvecm import (
     DeterministicSpec,
+    InvalidInputError,
     InvalidRankError,
     SingularMomentError,
     TimeSeriesPanel,
@@ -189,8 +190,6 @@ def test_forecasts_invariant_to_cointegration_basis_rotation():
         psi=model.psi,
         det=model.det,
         eigenvalues=model.eigenvalues,
-        r=model.r,
-        p=model.p,
         resid_cov=model.resid_cov,
     )
     f0 = forecast_vecm(model, panel, 8).values
@@ -231,6 +230,37 @@ def test_invalid_rank_rejected():
         fit_vecm(panel, p=1, r=3, det=NONE)
     with pytest.raises(InvalidRankError):
         fit_vecm(panel, p=1, r=-1, det=NONE)
+
+
+def test_model_sizes_come_from_its_arrays():
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=400, seed=1))
+    for p, r in ((1, 0), (2, 1), (3, 3)):
+        model = fit_vecm(panel, p=p, r=r, det=CONST)
+        rebuilt = VecmModel(
+            alpha=model.alpha, beta=model.beta, gamma=model.gamma, psi=model.psi,
+            det=model.det, eigenvalues=model.eigenvalues, resid_cov=model.resid_cov,
+        )
+        assert (rebuilt.d, rebuilt.r, rebuilt.p) == (model.d, model.r, model.p) == (3, r, p)
+
+
+def test_model_rejects_inconsistent_alpha_beta():
+    shared = dict(gamma=(), psi=np.zeros((3, 0)), det=NONE, eigenvalues=None,
+                  resid_cov=np.eye(3))
+    with pytest.raises(InvalidInputError, match="alpha/beta must both be d x r"):
+        VecmModel(alpha=np.zeros((3, 1)), beta=np.zeros((3, 2)), **shared)
+    with pytest.raises(InvalidInputError, match="2-D"):
+        VecmModel(alpha=np.zeros(3), beta=np.zeros(3), **shared)
+    with pytest.raises(InvalidRankError, match="rank 4 outside"):
+        VecmModel(alpha=np.zeros((3, 4)), beta=np.zeros((3, 4)), **shared)
+    with pytest.raises(InvalidInputError, match="gamma"):
+        VecmModel(alpha=np.zeros((3, 1)), beta=np.zeros((3, 1)),
+                  **{**shared, "gamma": (np.eye(2),)})
+    with pytest.raises(InvalidInputError, match="psi"):
+        VecmModel(alpha=np.zeros((3, 1)), beta=np.zeros((3, 1)),
+                  **{**shared, "det": CONST})
+    with pytest.raises(InvalidInputError, match="resid_cov"):
+        VarModel(phi=(np.eye(3),), psi=np.zeros((3, 0)), det=NONE,
+                 resid_cov=np.eye(2))
 
 
 def test_constant_panel_degenerate_moments():
@@ -438,8 +468,6 @@ def test_any_basis_of_the_cointegrating_space_forecasts_alike(case, seed):
         psi=model.psi,
         det=model.det,
         eigenvalues=model.eigenvalues,
-        r=model.r,
-        p=model.p,
         resid_cov=model.resid_cov,
     )
     assert_paths_close(forecast_vecm(rotated, panel, 8).values,
