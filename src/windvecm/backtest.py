@@ -376,19 +376,16 @@ def summarize_best(
 
 @dataclass(frozen=True, eq=False)
 class CombinationResult:
-    """Losses of two forecasters and their equal-weight combination."""
+    """Losses of two forecasters and their equal-weight combination.
 
-    spec_a: tuple[int, int]
-    spec_b: tuple[int, int]
-    T: int
+    Each score dict is keyed by forecaster: ``"a"``, ``"b"`` and
+    ``"combined"``. The per-origin losses follow ``origins_ok``.
+    """
+
     origins_ok: np.ndarray
     n_failed: int
-    mae_a: float
-    mae_b: float
-    mae_combined: float
-    mse_a: float
-    mse_b: float
-    mse_combined: float
+    mae: dict                 # name -> MAE
+    mse: dict                 # name -> MSE
     abs_losses: dict          # name -> per-origin absolute losses
     sq_losses: dict           # name -> per-origin squared losses
 
@@ -417,21 +414,9 @@ def run_combination(
     ok = cell_a.origins_ok[in_b]
     e_a = cell_a.errors[in_b]
     e_b = cell_b.errors[np.isin(cell_b.origins_ok, ok)]
-    mae_a, mse_a, abs_a, sq_a = _scores(e_a)
-    mae_b, mse_b, abs_b, sq_b = _scores(e_b)
-    mae_c, mse_c, abs_c, sq_c = _scores((e_a + e_b) / 2)
+    # _scores yields (mae, mse, abs, sq), the order of the four dict fields
+    scores = zip(*(_scores(e) for e in (e_a, e_b, (e_a + e_b) / 2)))
     return CombinationResult(
-        spec_a=spec_a,
-        spec_b=spec_b,
-        T=T,
-        origins_ok=ok,
-        n_failed=len(origins) - ok.size,
-        mae_a=mae_a,
-        mae_b=mae_b,
-        mae_combined=mae_c,
-        mse_a=mse_a,
-        mse_b=mse_b,
-        mse_combined=mse_c,
-        abs_losses={"a": abs_a, "b": abs_b, "combined": abs_c},
-        sq_losses={"a": sq_a, "b": sq_b, "combined": sq_c},
+        ok, len(origins) - ok.size,
+        *(dict(zip(("a", "b", "combined"), column)) for column in scores),
     )

@@ -47,7 +47,7 @@ def _pair(text: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
-def _add_source_args(parser: argparse.ArgumentParser) -> None:
+def _add_common_args(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", nargs="+", metavar="FILE",
                         help="delimited data files (long or wide form)")
@@ -57,12 +57,8 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
                         help="fail unless the data has exactly this many regions")
     parser.add_argument("--max-gap", type=int, default=8,
                         help="longest gap (in grid slots) filled by interpolation")
-
-
-def _add_common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--det", choices=["none", "constant"], default="constant",
                         help="deterministic term (default: constant)")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _load_source(args) -> TimeSeriesPanel:
@@ -242,18 +238,24 @@ def cmd_combine(args) -> int:
         panel, args.window, args.model_a, args.model_b, origins,
         args.horizon, det=det, clip_nonnegative=args.clip0,
     )
-    p_a, r_a = args.model_a
-    p_b, r_b = args.model_b
+    labels = {
+        "a": "model A (p={}, r={}): ".format(*args.model_a),
+        "b": "model B (p={}, r={}): ".format(*args.model_b),
+        "combined": "equal-weight combination:",
+    }
     lines = [
         f"combination study: T={args.window}, H={args.horizon}, "
-        f"{result.origins_ok.size} origins ({result.n_failed} failed)",
-        f"model A (p={p_a}, r={r_a}):  MAE {result.mae_a:.6g}  MSE {result.mse_a:.6g}",
-        f"model B (p={p_b}, r={r_b}):  MAE {result.mae_b:.6g}  MSE {result.mse_b:.6g}",
-        f"equal-weight combination: MAE {result.mae_combined:.6g}  "
-        f"MSE {result.mse_combined:.6g}",
-        f"MAE change vs A: {_change(result.mae_combined, result.mae_a)}  "
-        f"vs B: {_change(result.mae_combined, result.mae_b)}",
+        f"{result.origins_ok.size} origins ({result.n_failed} failed)"
     ]
+    rows = ["model,mae,mse"]
+    mae, mse = result.mae, result.mse
+    for name, label in labels.items():
+        lines.append(f"{label} MAE {mae[name]:.6g}  MSE {mse[name]:.6g}")
+        rows.append(f"{name},{_format_float(mae[name])},{_format_float(mse[name])}")
+    lines.append(
+        f"MAE change vs A: {_change(mae['combined'], mae['a'])}  "
+        f"vs B: {_change(mae['combined'], mae['b'])}"
+    )
     for kind, losses in (("absolute", result.abs_losses), ("squared", result.sq_losses)):
         lines.append(_dm_line("combined vs A", losses["combined"], losses["a"], kind))
         lines.append(_dm_line("combined vs B", losses["combined"], losses["b"], kind))
@@ -263,13 +265,7 @@ def cmd_combine(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "combine.txt").write_text(report + "\n")
-        header = "model,mae,mse"
-        rows = [
-            f"a,{_format_float(result.mae_a)},{_format_float(result.mse_a)}",
-            f"b,{_format_float(result.mae_b)},{_format_float(result.mse_b)}",
-            f"combined,{_format_float(result.mae_combined)},{_format_float(result.mse_combined)}",
-        ]
-        (out_dir / "combine.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
+        (out_dir / "combine.csv").write_text("\n".join(rows) + "\n")
         print(f"files in {out_dir}")
     return 0
 
@@ -283,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit one model and write a model file")
-    _add_source_args(fit)
     _add_common_args(fit)
     fit.add_argument("--p", type=int, required=True, help="autoregressive order")
     fit.add_argument("--rank", type=int, default=None,
@@ -292,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     bt = sub.add_parser("backtest", help="rolling-origin study over a (T, p, r) grid")
-    _add_source_args(bt)
     _add_common_args(bt)
+    bt.add_argument("--seed", type=int, default=0, help="origin sampling seed")
     bt.add_argument("--window", type=_int_list, default=BacktestConfig.T_grid,
                     help="comma-separated calibration lengths (default "
                          "96,192,384,768,1536,3072)")
@@ -314,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     comb = sub.add_parser("combine",
                           help="evaluate two models and their equal-weight mean")
-    _add_source_args(comb)
     _add_common_args(comb)
+    comb.add_argument("--seed", type=int, default=0, help="origin sampling seed")
     comb.add_argument("--model-a", type=_pair, required=True, metavar="P,R")
     comb.add_argument("--model-b", type=_pair, required=True, metavar="P,R")
     comb.add_argument("--window", type=int, required=True,

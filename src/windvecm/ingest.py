@@ -42,7 +42,6 @@ class IngestReport:
     gaps_filled: int
     duplicates_resolved: int
     regions_found: tuple[str, ...]
-    coverage_span: tuple[np.datetime64, np.datetime64]
     rows_dropped: int
 
 
@@ -221,15 +220,13 @@ def load_panel(
     rows_dropped = int(n - (hi - lo))
 
     panel = TimeSeriesPanel(values[lo:hi], grid[lo:hi], regions)
-    report = IngestReport(
+    return panel, IngestReport(
         rows_read=rows_read,
         gaps_filled=gaps_filled,
         duplicates_resolved=duplicates,
         regions_found=regions,
-        coverage_span=(panel.timestamps[0], panel.timestamps[-1]),
         rows_dropped=rows_dropped,
     )
-    return panel, report
 
 
 def save_wide(panel: TimeSeriesPanel, path) -> None:

@@ -39,14 +39,6 @@ class ForecastPath:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def horizon(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
 
 def _stack_errors(errors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     try:

@@ -22,7 +22,8 @@ header (``alpha``/``beta`` d x r, ``gammaK``/``phiK`` and ``resid_cov`` d x d,
 ``psi`` d x m with m deterministic terms, d eigenvalues).
 A VAR file carries matrices ``phi1..phip``, ``psi``, ``resid_cov``; a VECM
 file carries ``alpha``, ``beta``, ``gamma1..gamma{p-1}``, ``psi``,
-``resid_cov`` and optionally the eigenvalue vector.
+``resid_cov`` and optionally the eigenvalue vector. Only blank lines may
+follow the last section.
 """
 
 from __future__ import annotations
@@ -148,14 +149,16 @@ def read_model(path) -> VarModel | VecmModel:
         raise ParseError(f"unknown model kind {kind!r}")
     psi = reader.matrix("psi", d, det.n_terms)
     resid_cov = reader.matrix("resid_cov", d, d)
-    if kind == "var":
-        return VarModel(phi=phi, psi=psi, det=det, resid_cov=resid_cov)
     eigenvalues = None
-    if reader.pos < len(reader.lines) and reader.lines[reader.pos].startswith(
-        "vector eigenvalues"
-    ):
+    rest = reader.lines[reader.pos :]
+    if kind == "vecm" and rest and rest[0].startswith("vector eigenvalues"):
         reader.header(["vector", "eigenvalues"], [d])
         eigenvalues = np.array(reader.row("vector eigenvalues", d))
+    for line_no, line in enumerate(reader.lines[reader.pos :], start=reader.pos + 1):
+        if line.strip():
+            raise ParseError(f"unexpected {line!r} after the last section", line=line_no)
+    if kind == "var":
+        return VarModel(phi=phi, psi=psi, det=det, resid_cov=resid_cov)
     return VecmModel(
         alpha=alpha, beta=beta, gamma=gamma, psi=psi, det=det,
         eigenvalues=eigenvalues, resid_cov=resid_cov,

@@ -168,10 +168,13 @@ def cointegrated_spec(
     The cointegrating space is a fixed (seed-independent) orthonormal basis,
     so the same (d, r_true) always shares one true space across data seeds;
     the seed only drives the unit-variance noise. Short-run dynamics are
-    SPEC_SHORT_RUN * 0.5**(k-1) * I at lag k. Valid for 0 <= r_true <= d.
+    SPEC_SHORT_RUN * 0.5**(k-1) * I at lag k. Valid for 0 <= r_true <= d
+    and p_true >= 1.
     """
     if not 0 <= r_true <= d:
         raise InvalidInputError(f"r_true outside [0, {d}]")
+    if p_true < 1:
+        raise InvalidInputError(f"p_true must be >= 1, got {p_true}")
     basis_rng = np.random.default_rng(19156)
     q, _ = np.linalg.qr(basis_rng.standard_normal((d, d)))
     beta = q[:, :r_true]
@@ -190,15 +193,11 @@ def cointegrated_spec(
 
 def random_walk_spec(d: int, n_obs: int, seed: int = 0) -> DgpSpec:
     """d independent unit-variance random walks (r_true = 0, no short-run dynamics)."""
-    return DgpSpec(
-        alpha=np.zeros((d, 0)),
-        beta=np.zeros((d, 0)),
-        gamma=(),
-        noise_cov=np.eye(d),
-        n_obs=n_obs,
-        seed=seed,
-        initial=np.zeros(d),
-    )
+    return cointegrated_spec(d, 0, n_obs, seed, p_true=1)
+
+
+#: The fields `spec_to_json` writes; `spec_from_json` accepts no others.
+_SPEC_KEYS = {"d", "r_true", "alpha", "beta", "gamma", "noise_cov", "n_obs", "seed", "initial"}
 
 
 def spec_to_json(spec: DgpSpec) -> str:
@@ -220,9 +219,11 @@ def spec_to_json(spec: DgpSpec) -> str:
 def spec_from_json(text: str) -> DgpSpec:
     """Parse the JSON config format back into a validated spec.
 
-    Malformed JSON, a payload that is not an object, a missing field and a
-    field of the wrong type or size all raise `InvalidSpecError`; the counts
-    ``d``, ``r_true``, ``n_obs`` and ``seed`` must be integral JSON numbers.
+    Malformed JSON, a payload that is not an object, a missing field, a key
+    that `spec_to_json` does not write and a field of the wrong type or size
+    all raise `InvalidSpecError`; the counts ``d``, ``r_true``, ``n_obs`` and
+    ``seed`` must be integral JSON numbers. ``gamma``, ``seed`` and
+    ``initial`` may be left out (no short-run terms, seed 0, a zero start).
     """
     try:
         payload = json.loads(text)
@@ -231,6 +232,11 @@ def spec_from_json(text: str) -> DgpSpec:
     if not isinstance(payload, dict):
         raise InvalidSpecError(
             f"spec JSON must be an object, got {type(payload).__name__}"
+        )
+    unknown = sorted(payload.keys() - _SPEC_KEYS)
+    if unknown:
+        raise InvalidSpecError(
+            f"unknown spec JSON field(s): {', '.join(map(repr, unknown))}"
         )
 
     def _integer(key: str, default: int | None = None) -> int:

@@ -105,9 +105,13 @@ def _johansen_eigen(
     ordinary symmetric eigenproblem on L^-1 S10 S00^-1 S01 L^-T, which is
     far better behaved at small sample sizes than a direct nonsymmetric
     solve. Returns eigenvalues sorted descending (clipped into [0, 1)) and
-    eigenvector columns v normalized so that v' S11 v = I.
+    eigenvector columns v normalized so that v' S11 v = I. Moments that are
+    not finite (an overflowing reading), a singular S00 or S11 and an
+    eigenproblem that does not converge raise `SingularMomentError`.
     """
     d = s11.shape[0]
+    if not np.isfinite([s00, s01, s11]).all():
+        raise SingularMomentError("product-moment matrices are not finite")
     try:
         l11 = np.linalg.cholesky(s11)
     except np.linalg.LinAlgError:
@@ -121,7 +125,10 @@ def _johansen_eigen(
     l_inv = np.linalg.solve(l11, np.eye(d))
     sym = l_inv @ mid @ l_inv.T
     sym = 0.5 * (sym + sym.T)
-    lam, w = np.linalg.eigh(sym)
+    try:
+        lam, w = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError:
+        raise SingularMomentError("reduced-rank eigenproblem did not converge") from None
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     w = w[:, order]

@@ -134,6 +134,24 @@ def test_overflowing_forecast_is_a_recorded_failure():
     assert len(result.records) == 1
 
 
+def test_corrupted_reading_is_a_recorded_failure():
+    # One reading of 1e160 overflows the product moments of every window
+    # that holds it; those origins are recorded and the grid finishes.
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
+    values = panel.values.copy()
+    values[450, 1] = 1e160
+    panel = TimeSeriesPanel(values, panel.timestamps, panel.labels)
+    config = BacktestConfig(T_grid=(96,), p_grid=(1, 2), horizon=4, n_origins=40)
+    with np.errstate(all="ignore"):
+        result = run_grid(panel, config)
+    hit = {int(o) for o in result.origins if o - 95 <= 450 <= o}
+    assert len(hit) == 6
+    for rec in result.records:
+        assert rec.n_ok + rec.n_failed == 40
+        if rec.r > 0:
+            assert rec.failures == tuple((o, "SingularMomentError") for o in sorted(hit))
+
+
 def test_run_cell_validates_origin_range():
     panel = generate(random_walk_spec(2, 120, seed=0))
     with pytest.raises(InvalidInputError):
@@ -329,7 +347,8 @@ def test_combination_of_model_with_itself():
     panel = generate(spec)
     origins = sample_origins(500, 96, 4, 15, seed=3)
     result = run_combination(panel, 96, (2, 1), (2, 1), origins, 4, det=CONST)
-    assert result.mae_a == result.mae_b == result.mae_combined
+    assert result.mae["a"] == result.mae["b"] == result.mae["combined"]
+    assert result.mse["a"] == result.mse["b"] == result.mse["combined"]
     assert np.array_equal(result.abs_losses["a"], result.abs_losses["combined"])
 
 
@@ -340,7 +359,9 @@ def test_combination_reports_all_three_models():
     result = run_combination(panel, 192, (3, 3), (2, 1), origins, 8, det=CONST)
     assert result.origins_ok.size == 30
     # combination is evaluated, never asserted to dominate
-    assert result.mae_combined > 0.0
+    assert result.mae["combined"] > 0.0
+    for scores in (result.mae, result.mse, result.abs_losses, result.sq_losses):
+        assert list(scores) == ["a", "b", "combined"]
     for name in ("a", "b", "combined"):
         assert result.abs_losses[name].shape == (30,)
         assert result.sq_losses[name].shape == (30,)
@@ -359,5 +380,6 @@ def test_combination_with_partial_failures_matches_cells():
         errors = cell.errors[keep]
         assert np.array_equal(result.abs_losses[name], np.abs(errors).sum(axis=(1, 2)))
         assert np.array_equal(result.sq_losses[name], (errors**2).sum(axis=(1, 2)))
+        assert result.mae[name] == mae(errors) and result.mse[name] == mse(errors)
     for losses in (result.abs_losses, result.sq_losses):
         assert {losses[name].shape for name in losses} == {(11,)}

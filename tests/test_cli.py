@@ -227,10 +227,13 @@ def test_data_and_sim_are_exclusive(tmp_path, sim_spec_file):
         ' "noise_cov": [[1, 0], [0, 1]], "n_obs": "300"}',
         '{"d": 2, "r_true": -1, "alpha": [1, 0], "beta": [1, 0],'
         ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
+        '{"d": 2, "r_true": 0, "alpha": [], "beta": [], "gama": [[[0.1, 0], [0, 0.1]]],'
+        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
     ],
     ids=["not-an-object", "alpha-size", "ragged-gamma", "n_obs-type", "nan-gamma",
          "negative-seed", "fractional-n_obs", "bool-n_obs", "fractional-seed",
-         "fractional-d", "bool-r_true", "string-n_obs", "negative-r_true"],
+         "fractional-d", "bool-r_true", "string-n_obs", "negative-r_true",
+         "misspelt-gamma"],
 )
 def test_backtest_malformed_spec_exits_1(tmp_path, capsys, payload):
     spec = tmp_path / "spec.json"
@@ -239,3 +242,103 @@ def test_backtest_malformed_spec_exits_1(tmp_path, capsys, payload):
                  "--origins", "3", "--out", str(tmp_path / "bt")])
     assert code == 1
     assert "InvalidSpecError" in capsys.readouterr().err
+
+
+GOLDEN_COMBINE_CONSTANT = """\
+combination study: T=192, H=4, 30 origins (0 failed)
+model A (p=2, r=3):  MAE 4.01851  MSE 8.93871
+model B (p=2, r=1):  MAE 4.03105  MSE 8.80451
+equal-weight combination: MAE 3.99936  MSE 8.69346
+MAE change vs A: -0.48%  vs B: -0.79%
+DM combined vs A (absolute): statistic -0.3094, p-value 0.757 (n=30)
+DM combined vs B (absolute): statistic -0.5133, p-value 0.6078 (n=30)
+DM combined vs A (squared): statistic -0.9157, p-value 0.3598 (n=30)
+DM combined vs B (squared): statistic -0.3997, p-value 0.6894 (n=30)
+"""
+
+GOLDEN_COMBINE_CONSTANT_CSV = """\
+model,mae,mse
+a,4.0185054949424739,8.9387074737350041
+b,4.0310452012273466,8.8045057824962054
+combined,3.9993561647827156,8.6934579840669404
+"""
+
+GOLDEN_COMBINE_NONE_CLIP = """\
+combination study: T=96, H=4, 20 origins (0 failed)
+model A (p=2, r=1):  MAE 9.10204  MSE 67.9659
+model B (p=1, r=0):  MAE 9.24993  MSE 68.817
+equal-weight combination: MAE 9.08058  MSE 68.1243
+MAE change vs A: -0.24%  vs B: -1.83%
+DM combined vs A (absolute): statistic -0.2804, p-value 0.7792 (n=20)
+DM combined vs B (absolute): statistic -2.5702, p-value 0.01016 (n=20)
+DM combined vs A (squared): statistic +0.6024, p-value 0.5469 (n=20)
+DM combined vs B (squared): statistic -2.6729, p-value 0.00752 (n=20)
+"""
+
+GOLDEN_COMBINE_NONE_CLIP_CSV = """\
+model,mae,mse
+a,9.1020430021485161,67.965873096644771
+b,9.2499270338219137,68.81698234083342
+combined,9.080583863055697,68.12427490039326
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, report, csv",
+    [
+        (["--model-a", "2,3", "--model-b", "2,1", "--window", "192",
+          "--origins", "30", "--horizon", "4", "--seed", "5"],
+         GOLDEN_COMBINE_CONSTANT, GOLDEN_COMBINE_CONSTANT_CSV),
+        (["--model-a", "2,1", "--model-b", "1,0", "--window", "96",
+          "--origins", "20", "--horizon", "4", "--seed", "2", "--det", "none", "--clip0"],
+         GOLDEN_COMBINE_NONE_CLIP, GOLDEN_COMBINE_NONE_CLIP_CSV),
+    ],
+    ids=["det-constant", "det-none-clip0"],
+)
+def test_combine_output_is_pinned(tmp_path, sim_spec_file, capsys, flags, report, csv):
+    # The report is printed and written verbatim. combine.csv carries the
+    # same scores at 17 significant digits; those last digits come out of
+    # LAPACK fits and may move across BLAS builds, so its values are held
+    # to 1e-12 relative while every name and the layout are exact.
+    out = tmp_path / "comb"
+    assert main(["combine", "--sim", str(sim_spec_file), *flags, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == report + f"files in {out}\n"
+    assert (out / "combine.txt").read_text() == report
+    got = (out / "combine.csv").read_text().splitlines()
+    want = csv.splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        name, *values = got_row.split(",")
+        want_name, *want_values = want_row.split(",")
+        assert name == want_name
+        assert [float(v) for v in values] == pytest.approx(
+            [float(v) for v in want_values], rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("rank, error", [("1", "SingularMomentError"),
+                                         ("0", "SingularDesignError")])
+def test_fit_on_corrupted_reading_exits_1(tmp_path, capsys, rank, error):
+    # A reading of 1e160 overflows the product moments to inf.
+    from windvecm import TimeSeriesPanel, generate, save_wide
+
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
+    values = panel.values.copy()
+    values[450, 1] = 1e160
+    data = tmp_path / "bad.csv"
+    save_wide(TimeSeriesPanel(values, panel.timestamps, panel.labels), data)
+    out = tmp_path / "m.txt"
+    with np.errstate(all="ignore"):
+        code = main(["fit", "--data", str(data), "--p", "2", "--rank", rank,
+                     "--out", str(out)])
+    assert code == 1
+    assert f"windvecm: {error}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_has_no_seed_flag(tmp_path, sim_spec_file, capsys):
+    # Fitting draws nothing at random; only backtest and combine sample origins.
+    with pytest.raises(SystemExit):
+        main(["fit", "--sim", str(sim_spec_file), "--p", "1", "--seed", "3",
+              "--out", str(tmp_path / "m.txt")])
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

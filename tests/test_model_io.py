@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,42 @@ def test_read_rejects_malformed_line_with_its_number(tmp_path, kind, prefix, off
     with pytest.raises(ParseError) as info:
         read_model(path)
     assert info.value.line == line_no
+
+
+_PHI3 = ["matrix phi3 3 3", "1 0 0", "0 1 0", "0 0 1"]
+
+
+@pytest.mark.parametrize(
+    "kind, eigenvalues, extra",
+    [
+        ("var", False, _PHI3),
+        ("var", False, ["", "vector eigenvalues 3", "0.5 0.25 0.125"]),
+        ("vecm", True, ["", "  ", "# comment"]),
+        ("vecm", False, ["matrix gamma2 3 3", "1 0 0", "0 1 0", "0 0 1"]),
+        ("vecm", False, ["", "vector eigenvalues 3", "0.5 0.25 0.125"]),
+        ("vecm", True, ["vector eigenvalues 3", "0.5 0.25 0.125"]),
+    ],
+    ids=["var-phi3", "var-eigenvalues", "vecm-comment", "vecm-gamma2",
+         "vecm-eigenvalues-after-blank", "vecm-second-eigenvalues"],
+)
+def test_read_rejects_content_after_last_section(tmp_path, kind, eigenvalues, extra):
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=4))
+    if kind == "var":
+        model = fit_var(panel, 2)
+    else:
+        model = fit_vecm(panel, p=2, r=1)
+        if not eigenvalues:
+            model = dataclasses.replace(model, eigenvalues=None)
+    path = tmp_path / "model.txt"
+    write_model(model, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + ["", "  "]) + "\n")
+    assert read_model(path).d == 3             # trailing blank lines are fine
+    path.write_text("\n".join(lines + extra) + "\n")
+    with pytest.raises(ParseError) as info:
+        read_model(path)
+    first = next(i for i, line in enumerate(extra) if line.strip())
+    assert info.value.line == len(lines) + first + 1
 
 
 GOLDEN_VAR = """\

@@ -3,6 +3,7 @@ import pytest
 
 from windvecm import (
     DgpSpec,
+    InvalidInputError,
     InvalidSpecError,
     cointegrated_spec,
     generate,
@@ -148,6 +149,24 @@ def test_spec_sizes_and_root_moduli_come_from_its_arrays(d, r_true, p_true):
         spec.root_moduli[0] = 0.0
     with pytest.raises(AttributeError):
         spec.root_moduli = np.zeros(d * p_true)
+
+
+@pytest.mark.parametrize("p_true", [0, -4])
+def test_library_spec_rejects_order_below_one(p_true):
+    with pytest.raises(InvalidInputError, match=f"p_true must be >= 1, got {p_true}"):
+        cointegrated_spec(d=3, r_true=1, p_true=p_true)
+
+
+def test_spec_json_rejects_unknown_fields():
+    # A misspelt key must not load as a spec with that field left out.
+    text = spec_to_json(cointegrated_spec(d=3, r_true=1, n_obs=50, seed=0, p_true=3))
+    assert spec_from_json(text).p_true == 3
+    misspelt = text.replace('"gamma"', '"gama"')
+    with pytest.raises(InvalidSpecError, match="'gama'"):
+        spec_from_json(misspelt)
+    extra = text[:-1] + ', "zeta": 1, "burn_in": 5}'
+    with pytest.raises(InvalidSpecError, match="'burn_in', 'zeta'"):
+        spec_from_json(extra)
 
 
 def test_spec_alpha_beta_shapes_are_checked():
