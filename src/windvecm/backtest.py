@@ -317,7 +317,8 @@ class TSummary:
     ``improvement_vs_diff_var`` compares against the best r=0 cell (the VAR
     on differences), ``improvement_vs_levels_var`` against the best r=d cell
     (the VAR on levels); both use (loss_alt - loss_best) / loss_alt and are
-    None when the respective limit cells are absent or all failed.
+    None when the respective limit cells are absent or all failed. A T whose
+    cells all failed has every field but ``T`` None.
     """
 
     T: int
@@ -326,7 +327,6 @@ class TSummary:
     best_loss: float | None
     improvement_vs_diff_var: float | None
     improvement_vs_levels_var: float | None
-    note: str = ""
 
 
 def _improvement(alt: float | None, best: float) -> float | None:
@@ -350,8 +350,7 @@ def summarize_best(
             if rec.T == T and getattr(rec, metric) is not None
         ]
         if not scored:
-            rows.append(TSummary(T, None, None, None, None, None,
-                                 note="all cells failed"))
+            rows.append(TSummary(T, None, None, None, None, None))
             continue
         best = min(scored, key=lambda rec: getattr(rec, metric))
         best_loss = getattr(best, metric)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .backtest import (
+    DEFAULT_T_GRID,
     BacktestConfig,
     BacktestGridResult,
     TSummary,
@@ -77,8 +78,21 @@ def _load_source(args) -> TimeSeriesPanel:
     return panel
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
+def _cell(value, table_format: str | None = None) -> str:
+    """``value`` as a table cell in ``table_format``, else as a CSV cell at
+    17 significant digits; a score that does not exist (None) prints as
+    ``--`` in a table and as an empty CSV cell."""
+    if value is None:
+        return "" if table_format is None else "--"
+    return format(value, ".17g" if table_format is None else table_format)
+
+
+def _write_files(out_dir: Path, files: dict[str, list[str]]) -> None:
+    """Write every ``{file name: lines}`` entry into ``out_dir`` as UTF-8 text,
+    each line ended by a newline."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, lines in files.items():
+        (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def cmd_fit(args) -> int:
@@ -100,74 +114,54 @@ def cmd_fit(args) -> int:
 
 
 def _grid_lines(result: BacktestGridResult) -> list[str]:
-    lines = ["T,p,r,n_ok,n_failed,mae,mse"]
-    for rec in result.records:
-        mae_s = _format_float(rec.mae) if rec.mae is not None else ""
-        mse_s = _format_float(rec.mse) if rec.mse is not None else ""
-        lines.append(f"{rec.T},{rec.p},{rec.r},{rec.n_ok},{rec.n_failed},{mae_s},{mse_s}")
-    return lines
+    return ["T,p,r,n_ok,n_failed,mae,mse"] + [
+        f"{rec.T},{rec.p},{rec.r},{rec.n_ok},{rec.n_failed},{_cell(rec.mae)},{_cell(rec.mse)}"
+        for rec in result.records
+    ]
 
 
 def _grid_long_lines(result: BacktestGridResult) -> list[str]:
-    lines = ["T,p,r,metric,value"]
-    for rec in result.records:
-        if rec.mae is not None:
-            for name, value in (("mae", rec.mae), ("mse", rec.mse)):
-                lines.append(f"{rec.T},{rec.p},{rec.r},{name},{_format_float(value)}")
-    return lines
-
-
-def _summary_table(rows: tuple[TSummary, ...], metric: str) -> str:
-    headers = ["T/96 (=length in days)"] + [f"{r.T / 96:g}" for r in rows]
-    body = [
-        ["Best p"] + [str(r.best_p) if r.best_p is not None else "--" for r in rows],
-        ["Best r"] + [str(r.best_r) if r.best_r is not None else "--" for r in rows],
-        ["Improvement to best VAR on ΔY_t"]
-        + [
-            f"{r.improvement_vs_diff_var:.2f}"
-            if r.improvement_vs_diff_var is not None else "--"
-            for r in rows
-        ],
-        ["Improvement to best VAR on Y_t"]
-        + [
-            f"{r.improvement_vs_levels_var:.2f}"
-            if r.improvement_vs_levels_var is not None else "--"
-            for r in rows
-        ],
+    return ["T,p,r,metric,value"] + [
+        f"{rec.T},{rec.p},{rec.r},{name},{_cell(value)}"
+        for rec in result.records if rec.mae is not None
+        for name, value in (("mae", rec.mae), ("mse", rec.mse))
     ]
-    label_width = max(len(line[0]) for line in [headers] + body)
-    col_width = max(5, max(len(cell) for line in [headers] + body for cell in line[1:]))
-    out = [f"{metric.upper()} summary"]
-    out.append(
-        headers[0].ljust(label_width)
-        + "".join(cell.rjust(col_width + 2) for cell in headers[1:])
-    )
-    for line in body:
-        out.append(
-            line[0].ljust(label_width)
-            + "".join(cell.rjust(col_width + 2) for cell in line[1:])
-        )
-    failed = [r for r in rows if r.note]
-    for r in failed:
-        out.append(f"  note: T={r.T}: {r.note}")
-    return "\n".join(out)
+
+
+#: The summary CSV's columns after T; those with a label are also the summary
+#: table's rows: (`TSummary` attribute, table label or None, table format).
+_SUMMARY_FIELDS = (
+    ("best_p", "Best p", "d"),
+    ("best_r", "Best r", "d"),
+    ("best_loss", None, None),
+    ("improvement_vs_diff_var", "Improvement to best VAR on ΔY_t", ".2f"),
+    ("improvement_vs_levels_var", "Improvement to best VAR on Y_t", ".2f"),
+)
+
+#: Note on a summary row whose T has no scored cell (``best_p is None``).
+_ALL_FAILED = "all cells failed"
+
+
+def _summary_table(rows: tuple[TSummary, ...], metric: str) -> list[str]:
+    grid = [["T/96 (=length in days)"] + [f"{r.T / 96:g}" for r in rows]] + [
+        [label] + [_cell(getattr(r, attr), fmt) for r in rows]
+        for attr, label, fmt in _SUMMARY_FIELDS if label
+    ]
+    label_width = max(len(line[0]) for line in grid)
+    col_width = max(5, max(len(cell) for line in grid for cell in line[1:]))
+    out = [f"{metric.upper()} summary"] + [
+        line[0].ljust(label_width) + "".join(cell.rjust(col_width + 2) for cell in line[1:])
+        for line in grid
+    ]
+    out += [f"  note: T={r.T}: {_ALL_FAILED}" for r in rows if r.best_p is None]
+    return out
 
 
 def _summary_csv_lines(rows: tuple[TSummary, ...]) -> list[str]:
-    lines = ["T,best_p,best_r,best_loss,improvement_vs_diff_var,improvement_vs_levels_var,note"]
+    lines = [",".join(["T", *(attr for attr, _, _ in _SUMMARY_FIELDS), "note"])]
     for r in rows:
-        cells = [
-            str(r.T),
-            str(r.best_p) if r.best_p is not None else "",
-            str(r.best_r) if r.best_r is not None else "",
-            _format_float(r.best_loss) if r.best_loss is not None else "",
-            _format_float(r.improvement_vs_diff_var)
-            if r.improvement_vs_diff_var is not None else "",
-            _format_float(r.improvement_vs_levels_var)
-            if r.improvement_vs_levels_var is not None else "",
-            r.note,
-        ]
-        lines.append(",".join(cells))
+        cells = [_cell(getattr(r, attr)) for attr, _, _ in _SUMMARY_FIELDS]
+        lines.append(",".join([str(r.T), *cells, _ALL_FAILED if r.best_p is None else ""]))
     return lines
 
 
@@ -184,26 +178,22 @@ def cmd_backtest(args) -> int:
         clip_nonnegative=args.clip0,
     )
     result = run_grid(panel, config, workers=args.workers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "grid.csv").write_text("\n".join(_grid_lines(result)) + "\n")
-    (out_dir / "grid_long.csv").write_text("\n".join(_grid_long_lines(result)) + "\n")
-    (out_dir / "origins.csv").write_text(
-        "origin\n" + "\n".join(str(int(o)) for o in result.origins) + "\n"
-    )
-    meta_lines = [f"{k},{v}" for k, v in sorted(result.metadata.items())]
-    (out_dir / "metadata.csv").write_text("key,value\n" + "\n".join(meta_lines) + "\n")
-
-    n_failed_total = sum(rec.n_failed for rec in result.records)
+    # The byte-identical rerun set: every file a rerun must reproduce.
+    files = {
+        "grid.csv": _grid_lines(result),
+        "grid_long.csv": _grid_long_lines(result),
+        "origins.csv": ["origin", *(str(o) for o in result.origins.tolist())],
+        "metadata.csv": ["key,value",
+                         *(f"{k},{v}" for k, v in sorted(result.metadata.items()))],
+    }
     for metric in ("mae", "mse"):
         rows = summarize_best(result, metric)
-        table = _summary_table(rows, metric)
-        (out_dir / f"summary_{metric}.txt").write_text(table + "\n")
-        (out_dir / f"summary_{metric}.csv").write_text(
-            "\n".join(_summary_csv_lines(rows)) + "\n"
-        )
-        print(table)
-        print()
+        files[f"summary_{metric}.txt"] = table = _summary_table(rows, metric)
+        files[f"summary_{metric}.csv"] = _summary_csv_lines(rows)
+        print("\n".join(table) + "\n")
+    out_dir = Path(args.out)
+    _write_files(out_dir, files)
+    n_failed_total = sum(rec.n_failed for rec in result.records)
     print(
         f"evaluated {len(result.records)} cells on {result.origins.size} origins "
         f"({n_failed_total} cell-origin failures); files in {out_dir}"
@@ -251,7 +241,7 @@ def cmd_combine(args) -> int:
     mae, mse = result.mae, result.mse
     for name, label in labels.items():
         lines.append(f"{label} MAE {mae[name]:.6g}  MSE {mse[name]:.6g}")
-        rows.append(f"{name},{_format_float(mae[name])},{_format_float(mse[name])}")
+        rows.append(f"{name},{_cell(mae[name])},{_cell(mse[name])}")
     lines.append(
         f"MAE change vs A: {_change(mae['combined'], mae['a'])}  "
         f"vs B: {_change(mae['combined'], mae['b'])}"
@@ -259,13 +249,10 @@ def cmd_combine(args) -> int:
     for kind, losses in (("absolute", result.abs_losses), ("squared", result.sq_losses)):
         lines.append(_dm_line("combined vs A", losses["combined"], losses["a"], kind))
         lines.append(_dm_line("combined vs B", losses["combined"], losses["b"], kind))
-    report = "\n".join(lines)
-    print(report)
+    print("\n".join(lines))
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "combine.txt").write_text(report + "\n")
-        (out_dir / "combine.csv").write_text("\n".join(rows) + "\n")
+        _write_files(out_dir, {"combine.txt": lines, "combine.csv": rows})
         print(f"files in {out_dir}")
     return 0
 
@@ -288,16 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bt = sub.add_parser("backtest", help="rolling-origin study over a (T, p, r) grid")
     _add_common_args(bt)
-    bt.add_argument("--seed", type=int, default=0, help="origin sampling seed")
+    bt.add_argument("--seed", type=int, default=BacktestConfig.seed,
+                    help="origin sampling seed")
     bt.add_argument("--window", type=_int_list, default=BacktestConfig.T_grid,
                     help="comma-separated calibration lengths (default "
-                         "96,192,384,768,1536,3072)")
+                         f"{','.join(map(str, DEFAULT_T_GRID))})")
     bt.add_argument("--p", type=_int_list, default=BacktestConfig.p_grid,
                     help="comma-separated orders (default 1..7)")
     bt.add_argument("--rank", type=_int_list, default=None,
                     help="comma-separated ranks (default 0..d)")
-    bt.add_argument("--horizon", type=int, default=8)
-    bt.add_argument("--origins", type=int, default=1000,
+    bt.add_argument("--horizon", type=int, default=BacktestConfig.horizon)
+    bt.add_argument("--origins", type=int, default=BacktestConfig.n_origins,
                     help="number of sampled forecast origins")
     bt.add_argument("--clip0", action="store_true",
                     help="floor forecasts at 0 MW")
@@ -310,13 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     comb = sub.add_parser("combine",
                           help="evaluate two models and their equal-weight mean")
     _add_common_args(comb)
-    comb.add_argument("--seed", type=int, default=0, help="origin sampling seed")
+    comb.add_argument("--seed", type=int, default=BacktestConfig.seed,
+                      help="origin sampling seed")
     comb.add_argument("--model-a", type=_pair, required=True, metavar="P,R")
     comb.add_argument("--model-b", type=_pair, required=True, metavar="P,R")
     comb.add_argument("--window", type=int, required=True,
                       help="calibration length T")
-    comb.add_argument("--horizon", type=int, default=8)
-    comb.add_argument("--origins", type=int, default=1000)
+    comb.add_argument("--horizon", type=int, default=BacktestConfig.horizon)
+    comb.add_argument("--origins", type=int, default=BacktestConfig.n_origins)
     comb.add_argument("--clip0", action="store_true")
     comb.add_argument("--out", default=None, help="optional output directory")
     comb.set_defaults(func=cmd_combine)

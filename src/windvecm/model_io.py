@@ -19,7 +19,9 @@ Numbers are rendered with %.17g, which round-trips IEEE doubles exactly, so
 A line that ``read_model`` cannot read raises `ParseError` with its number;
 so does a section header whose sizes disagree with the ``d``/``p``/``r``/``det``
 header (``alpha``/``beta`` d x r, ``gammaK``/``phiK`` and ``resid_cov`` d x d,
-``psi`` d x m with m deterministic terms, d eigenvalues).
+``psi`` d x m with m deterministic terms, d eigenvalues). `write_model` never
+writes what `read_model` rejects: a NaN or infinite value raises
+`InvalidInputError` naming its section before the file is opened.
 A VAR file carries matrices ``phi1..phip``, ``psi``, ``resid_cov``; a VECM
 file carries ``alpha``, ``beta``, ``gamma1..gamma{p-1}``, ``psi``,
 ``resid_cov`` and optionally the eigenvalue vector. Only blank lines may
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 from .panel import DeterministicSpec
 from .var import VarModel
 from .vecm import VecmModel
@@ -41,6 +43,8 @@ _MAGIC = "windvecm-model 1"
 
 
 def _format_matrix(name: str, mat: np.ndarray) -> list[str]:
+    if not np.isfinite(mat).all():
+        raise InvalidInputError(f"model section {name} holds non-finite values")
     rows, cols = mat.shape
     lines = [f"matrix {name} {rows} {cols}"]
     for i in range(rows):

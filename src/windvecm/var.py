@@ -87,6 +87,7 @@ def companion_matrix(phi: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarr
 
 
 @one_blas_thread()
+@np.errstate(over="ignore", invalid="ignore")
 def fit_var(
     panel: TimeSeriesPanel,
     p: int,
@@ -96,7 +97,8 @@ def fit_var(
 
     Requires n_obs - p >= d*p + m + 1 rows. Raises `SingularDesignError`
     (with the condition diagnostic) on rank-deficient designs rather than
-    regularizing.
+    regularizing. An overflowing ``resid_cov`` raises no numpy warning;
+    `write_model` refuses it.
     """
     design = build_design(panel, p, det)
     d, m = panel.d, det.n_terms

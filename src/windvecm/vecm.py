@@ -79,7 +79,7 @@ class VecmModel:
             eig = np.asarray(eig, dtype=float)
             if eig.shape != (d,):
                 raise InvalidInputError(f"expected {d} eigenvalues, got {eig.shape}")
-            if np.any(eig < 0.0) or np.any(eig >= 1.0):
+            if not np.all((eig >= 0.0) & (eig < 1.0)):  # also false for NaN
                 raise InvalidInputError("eigenvalues must lie in [0, 1)")
             if np.any(np.diff(eig) > 0.0):
                 raise InvalidInputError("eigenvalues must be sorted descending")
@@ -138,6 +138,7 @@ def _johansen_eigen(
 
 
 @one_blas_thread()
+@np.errstate(over="ignore", invalid="ignore")
 def fit_vecm(
     panel: TimeSeriesPanel,
     p: int,
@@ -155,7 +156,10 @@ def fit_vecm(
 
     The eigenvalues are computed for every rank (including r = 0, where
     they are purely diagnostic); if the moment matrices are degenerate the
-    fit proceeds without them for r = 0 and fails for r > 0.
+    fit proceeds without them for r = 0 and fails for r > 0. Overflowing
+    products (a reading such as 1e160) raise no numpy warning: non-finite
+    moments count as degenerate, and `write_model` refuses a non-finite
+    ``resid_cov``.
     """
     d = panel.d
     if not 0 <= r <= d:

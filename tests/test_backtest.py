@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from windvecm import (
     BacktestConfig,
     DeterministicSpec,
+    InsufficientDataError,
     InsufficientRangeError,
     InvalidInputError,
     TimeSeriesPanel,
+    TSummary,
     cointegrated_spec,
     fit_var,
     fit_vecm,
@@ -24,6 +27,7 @@ from windvecm import (
     sample_origins,
     summarize_best,
 )
+from windvecm.cli import _summary_csv_lines, _summary_table
 
 NONE = DeterministicSpec.NONE
 CONST = DeterministicSpec.CONSTANT
@@ -142,7 +146,9 @@ def test_corrupted_reading_is_a_recorded_failure():
     values[450, 1] = 1e160
     panel = TimeSeriesPanel(values, panel.timestamps, panel.labels)
     config = BacktestConfig(T_grid=(96,), p_grid=(1, 2), horizon=4, n_origins=40)
-    with np.errstate(all="ignore"):
+    # The overflow is reported as failures, not as numpy warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = run_grid(panel, config)
     hit = {int(o) for o in result.origins if o - 95 <= 450 <= o}
     assert len(hit) == 6
@@ -323,8 +329,21 @@ def test_summary_row_for_all_failed_T():
     config = BacktestConfig(T_grid=(48,), p_grid=(2,), r_grid=(1, 2),
                             horizon=4, n_origins=10, seed=0, det=NONE)
     result = run_grid(panel, config)
-    row = summarize_best(result, "mae")[0]
-    assert row.best_p is None and row.note == "all cells failed"
+    rows = summarize_best(result, "mae")
+    assert rows == (TSummary(48, None, None, None, None, None),)
+    assert _summary_table(rows, "mae")[-1] == "  note: T=48: all cells failed"
+    assert _summary_csv_lines(rows)[1] == "48,,,,,,all cells failed"
+
+
+def test_summary_rejects_unknown_metric_and_empty_result():
+    panel = generate(random_walk_spec(2, 200, seed=0))
+    config = BacktestConfig(T_grid=(48,), p_grid=(1,), r_grid=(0,),
+                            horizon=4, n_origins=5, seed=0, det=NONE)
+    result = run_grid(panel, config)
+    with pytest.raises(InvalidInputError, match="got 'rmse'"):
+        summarize_best(result, "rmse")
+    with pytest.raises(InvalidInputError, match="empty backtest result"):
+        summarize_best(dataclasses.replace(result, records=()), "mae")
 
 
 def test_config_validation():
@@ -336,6 +355,10 @@ def test_config_validation():
         BacktestConfig(n_origins=0)
     with pytest.raises(InvalidInputError):
         BacktestConfig(T_grid=())
+    with pytest.raises(InvalidInputError, match="r_grid must be non-empty"):
+        BacktestConfig(r_grid=())
+    with pytest.raises(InvalidInputError, match="ranks >= 0"):
+        BacktestConfig(r_grid=(0, -1))
 
 
 # --------------------------------------------------------------------------
@@ -383,3 +406,10 @@ def test_combination_with_partial_failures_matches_cells():
         assert result.mae[name] == mae(errors) and result.mse[name] == mse(errors)
     for losses in (result.abs_losses, result.sq_losses):
         assert {losses[name].shape for name in losses} == {(11,)}
+
+
+def test_combination_with_every_origin_failed_raises():
+    # every window lies in the constant stretch, where no rank-1 fit exists
+    panel = _partly_constant_panel()
+    with pytest.raises(InsufficientDataError, match="every origin failed"):
+        run_combination(panel, 30, (2, 1), (2, 1), np.arange(130, 195, 5), 8, det=NONE)

@@ -1,9 +1,15 @@
+import re
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from windvecm import (
     cointegrated_spec,
+    generate,
     read_model,
+    spec_from_json,
     spec_to_json,
     vecm_to_var,
 )
@@ -342,3 +348,80 @@ def test_fit_has_no_seed_flag(tmp_path, sim_spec_file, capsys):
         main(["fit", "--sim", str(sim_spec_file), "--p", "1", "--seed", "3",
               "--out", str(tmp_path / "m.txt")])
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[+-]\d+)?")
+_SHA256 = re.compile(r"\b[0-9a-f]{64}\b")
+
+
+def _assert_same_layout(got: str, want: str) -> None:
+    """Names and layout exact, numbers at 1e-12 relative (their last of 17
+    digits come out of LAPACK fits and may move across BLAS builds)."""
+    assert _NUMBER.sub("#", got) == _NUMBER.sub("#", want)
+    assert [float(x) for x in _NUMBER.findall(got)] == pytest.approx(
+        [float(x) for x in _NUMBER.findall(want)], rel=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "case, flags",
+    [
+        ("det-constant", ["--window", "96,192", "--p", "1,2", "--rank", "0,1,3",
+                          "--horizon", "4", "--origins", "20", "--seed", "3"]),
+        ("det-none-clip0", ["--window", "96", "--p", "1,2", "--horizon", "4",
+                            "--origins", "10", "--seed", "2", "--det", "none", "--clip0"]),
+        # a constant panel: T = 4 is too short for any fit, and at T = 96 only
+        # r = 0 fits, so the summaries carry an all-failed row and "--" gains
+        ("all-failed-T", ["--window", "4,96", "--p", "1", "--horizon", "4",
+                          "--origins", "10"]),
+    ],
+)
+def test_backtest_output_is_pinned(tmp_path, sim_spec_file, capsys, case, flags):
+    from windvecm import TimeSeriesPanel, load_panel, save_wide
+    from windvecm.backtest import data_fingerprint
+
+    if case == "all-failed-T":
+        data = tmp_path / "flat.csv"
+        save_wide(TimeSeriesPanel.from_values(np.full((200, 2), 5.0), labels=("n", "s")),
+                  data)
+        source, panel = ["--data", str(data)], load_panel(data)[0]
+    else:
+        source = ["--sim", str(sim_spec_file)]
+        panel = generate(spec_from_json(sim_spec_file.read_text()))
+    out = tmp_path / "bt"
+    assert main(["backtest", *source, *flags, "--out", str(out)]) == 0
+    want_dir = GOLDEN / case
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in want_dir.iterdir())
+    for want_path in want_dir.iterdir():
+        got = (out / want_path.name).read_text(encoding="utf-8")
+        # The data hash is checked against the panel, not pinned: a simulated
+        # panel's last bits may move across BLAS builds.
+        assert _SHA256.findall(got) == (
+            [data_fingerprint(panel)] if want_path.name == "metadata.csv" else []
+        )
+        _assert_same_layout(_SHA256.sub("<sha256>", got),
+                            _SHA256.sub("<sha256>", want_path.read_text(encoding="utf-8")))
+    tables = [(out / f"summary_{m}.txt").read_text(encoding="utf-8") for m in ("mae", "mse")]
+    assert "\n".join(tables) + "\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", [["--rank", "0"], []], ids=["vecm-r0", "var"])
+def test_fit_writes_no_model_file_with_non_finite_values(tmp_path, capsys, model):
+    # A reading of 1e160 in the last row is only ever a response, so both
+    # fits succeed, but their residual covariance overflows to inf.
+    from windvecm import TimeSeriesPanel, save_wide
+
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
+    values = panel.values.copy()
+    values[-1, 1] = 1e160
+    data = tmp_path / "bad.csv"
+    save_wide(TimeSeriesPanel(values, panel.timestamps, panel.labels), data)
+    out = tmp_path / "m.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--data", str(data), "--p", "1", *model, "--out", str(out)])
+    assert code == 1
+    assert ("windvecm: InvalidInputError: model section resid_cov holds non-finite values"
+            in capsys.readouterr().err)
+    assert not out.exists()

@@ -361,3 +361,49 @@ def test_long_wide_and_shuffled_exports_ingest_alike(readings, data):
     # rows_read counts data lines: one per instant wide, one per reading long
     assert from_wide[1].rows_read == len(rows)
     assert from_long[1].rows_read == from_shuffled[1].rows_read == len(long)
+
+
+@pytest.mark.parametrize(
+    "lines, message, bad_line",
+    [
+        ([], "empty file", 1),
+        (["timestamp,a,,b", "2020-01-01T00:00,1,2,3"], "empty region label in header", 1),
+        (["timestamp,region,value", "2020-01-01T00:00,a,1", "2020-01-01T00:15, ,2"],
+         "empty region label", 3),
+        (["timestamp,a,b", "2020-01-01T00:00,1,2", "2020-01-01T00:15,3"],
+         "expected 3 fields, found 2", 3),
+    ],
+    ids=["empty-file", "empty-header-label", "empty-row-label", "ragged-row"],
+)
+def test_malformed_file_is_a_parse_error_at_its_line(tmp_path, lines, message, bad_line):
+    path = write(tmp_path, "bad.csv", "\n".join(lines))
+    with pytest.raises(ParseError, match=message) as err:
+        load_panel([path])
+    assert err.value.line == bad_line
+
+
+def test_no_complete_row_is_a_no_overlap_error(tmp_path):
+    # the regions overlap in time, but never report at the same instant
+    path = write(tmp_path, "alt.csv", "\n".join([
+        "timestamp,a,b",
+        "2020-01-01T00:00,1,NA",
+        "2020-01-01T00:15,NA,2",
+        "2020-01-01T00:30,3,NA",
+        "2020-01-01T00:45,NA,4",
+    ]))
+    with pytest.raises(NoOverlapError, match="no complete rows"):
+        load_panel([path])
+
+
+def test_nine_duplicate_readings_average_like_np_mean(tmp_path):
+    # np.mean sums nine values pairwise; a left-to-right sum differs here
+    readings = [85.65, 236.81, 801.27, 582.16, 94.13, 433.13, 479.05, 159.74, 734.58]
+    assert sum(readings) / 9 != np.mean(readings)
+    path = write(tmp_path, "dup.csv", "\n".join(
+        ["timestamp,region,value"]
+        + [f"2020-01-01T00:00,a,{v}" for v in readings]
+        + ["2020-01-01T00:15,a,1"]
+    ))
+    panel, report = load_panel([path])
+    assert panel.values[0, 0] == np.mean(readings)
+    assert report.duplicates_resolved == 8

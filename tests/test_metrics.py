@@ -235,3 +235,19 @@ def test_dm_preconditions():
         dm_test(np.ones(5), np.zeros(5))
     with pytest.raises(InvalidInputError):
         dm_test(np.ones(20), np.zeros(19))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ForecastPath(np.zeros(4), 0), "H x d"),
+        (lambda: ForecastPath(np.zeros((0, 2)), 0), "H x d"),
+        (lambda: ForecastPath(np.array([[1.0, math.nan]]), 0), "non-finite"),
+        (lambda: ForecastPath(np.array([[math.inf, 0.0]]), 0), "non-finite"),
+        (lambda: per_origin_loss([np.zeros((2, 2))], "huber"), "unknown loss kind 'huber'"),
+    ],
+    ids=["path-1d", "path-no-steps", "path-nan", "path-inf", "unknown-loss-kind"],
+)
+def test_rejected_paths_and_loss_kinds(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()

@@ -7,6 +7,7 @@ from helpers import stable_var_model
 
 from windvecm import (
     DeterministicSpec,
+    InvalidInputError,
     ParseError,
     cointegrated_spec,
     fit_var,
@@ -226,3 +227,27 @@ def test_written_text_is_pinned(tmp_path):
         assert path.read_text(encoding="utf-8") == golden
         write_model(read_model(path), path)
         assert path.read_text(encoding="utf-8") == golden
+
+
+@pytest.mark.parametrize(
+    "kind, field, section, bad",
+    [
+        ("vecm", "alpha", "alpha", np.nan),
+        ("vecm", "gamma", "gamma1", np.inf),
+        ("vecm", "resid_cov", "resid_cov", np.inf),
+        ("var", "phi", "phi2", -np.inf),
+        ("var", "psi", "psi", np.nan),
+    ],
+)
+def test_write_refuses_non_finite_values(tmp_path, kind, field, section, bad):
+    # read_model rejects such a file, so write_model writes none of it.
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=4))
+    model = fit_vecm(panel, p=2, r=1) if kind == "vecm" else fit_var(panel, 2)
+    value = getattr(model, field)          # a matrix, or a tuple of them
+    last = (value[-1] if isinstance(value, tuple) else value).copy()
+    last[-1, -1] = bad
+    value = (*value[:-1], last) if isinstance(value, tuple) else last
+    path = tmp_path / "model.txt"
+    with pytest.raises(InvalidInputError, match=f"section {section} holds non-finite"):
+        write_model(dataclasses.replace(model, **{field: value}), path)
+    assert not path.exists()

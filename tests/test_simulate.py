@@ -233,3 +233,14 @@ def test_spec_json_errors():
         spec_from_json("{not json")
     with pytest.raises(InvalidSpecError):
         spec_from_json("{}")
+
+
+def test_singular_noise_covariance_is_factored_and_indefinite_rejected():
+    # [[1, 1], [1, 1]] is PSD but singular (no Cholesky factor): both series
+    # get the same shock, so their difference stays at its start.
+    base = dict(alpha=np.zeros((2, 0)), beta=np.zeros((2, 0)), gamma=(),
+                n_obs=50, seed=0, initial=np.zeros(2))
+    panel = generate(DgpSpec(noise_cov=np.ones((2, 2)), **base))
+    assert np.abs(panel.values[:, 0] - panel.values[:, 1]).max() <= 1e-12
+    with pytest.raises(InvalidSpecError, match="not positive semidefinite"):
+        generate(DgpSpec(noise_cov=np.array([[1.0, 2.0], [2.0, 1.0]]), **base))

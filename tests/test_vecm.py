@@ -261,6 +261,9 @@ def test_model_rejects_inconsistent_alpha_beta():
     with pytest.raises(InvalidInputError, match="resid_cov"):
         VarModel(phi=(np.eye(3),), psi=np.zeros((3, 0)), det=NONE,
                  resid_cov=np.eye(2))
+    with pytest.raises(InvalidInputError, match=r"eigenvalues must lie in \[0, 1\)"):
+        VecmModel(alpha=np.zeros((3, 1)), beta=np.zeros((3, 1)),
+                  **{**shared, "eigenvalues": [0.5, np.nan, 0.1]})
 
 
 def test_constant_panel_degenerate_moments():
