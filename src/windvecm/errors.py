@@ -40,7 +40,7 @@ class SingularMomentError(WindVecmError):
 
 
 class NonFiniteForecastError(WindVecmError):
-    """A forecast recursion overflowed or produced NaN."""
+    """A forecast recursion overflowed, produced NaN, or left the value bound."""
 
 
 class InvalidRankError(WindVecmError):

@@ -9,8 +9,8 @@ Comma and semicolon delimiters are autodetected. Timestamps are ISO 8601,
 with or without a zone offset; offsets are normalized to UTC and naive
 timestamps are taken as already UTC. The grid step is fixed at 15 minutes:
 a timestamp that, in UTC, does not fall on :00, :15, :30 or :45 raises
-``ParseError`` with its line number, as does an infinite or overflowing
-value such as ``inf`` or ``1e999``, and a region whose values are all
+``ParseError`` with its line number, as does a value beyond
+``MAX_ABS_VALUE`` in magnitude, and a region whose values are all
 missing raises ``SchemaError``. Duplicate (timestamp, region) readings
 (clock-change exports) are averaged; interior gaps of at most
 ``max_gap_slots`` grid steps are filled linearly; anything longer leaves the
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, NoOverlapError, ParseError, SchemaError
-from .panel import QUARTER_HOUR, TimeSeriesPanel
+from .panel import MAX_ABS_VALUE, QUARTER_HOUR, TimeSeriesPanel
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none", "-"}
 
@@ -64,8 +64,8 @@ def _parse_timestamp(token: str, line_no: int) -> datetime:
 def _parse_value(token: str, line_no: int) -> float:
     """The reading of a value token; NaN when it marks a missing value.
 
-    An infinite reading (``inf``, or a number such as ``1e999`` that
-    overflows) is a parse error at its line.
+    A reading beyond `MAX_ABS_VALUE` in magnitude, infinite ones included,
+    is a parse error at its line.
     """
     text = token.strip()
     if text.lower() in _MISSING_TOKENS:
@@ -74,8 +74,8 @@ def _parse_value(token: str, line_no: int) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(f"unparseable value {token!r}", line=line_no) from None
-    if math.isinf(value):
-        raise ParseError(f"value {token!r} is not finite", line=line_no)
+    if abs(value) > MAX_ABS_VALUE:
+        raise ParseError(f"value {token!r} exceeds {MAX_ABS_VALUE:g} in magnitude", line=line_no)
     return value
 
 

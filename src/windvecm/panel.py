@@ -18,6 +18,10 @@ from .errors import InsufficientDataError, InvalidInputError
 
 QUARTER_HOUR = np.timedelta64(15, "m")
 
+# Bound on |reading| and |forecast|: a squared difference is then <= 4e200, so
+# every moment, covariance and loss (a sum of < 1e100 such terms) is finite.
+MAX_ABS_VALUE = 1e100
+
 
 class DeterministicSpec(Enum):
     """Deterministic regressor choice: nothing, or an unrestricted constant."""
@@ -44,7 +48,7 @@ class TimeSeriesPanel:
     Parameters
     ----------
     values : ndarray, shape (n_obs, d)
-        Observations in MW, one column per region. Must be finite.
+        Observations in MW, one column per region, |value| <= `MAX_ABS_VALUE`.
     timestamps : ndarray of datetime64, shape (n_obs,)
         Strictly increasing, constant spacing.
     labels : tuple of str, length d
@@ -64,8 +68,8 @@ class TimeSeriesPanel:
         n, d = values.shape
         if n < 1 or d < 1:
             raise InvalidInputError("panel needs n_obs >= 1 and d >= 1")
-        if not np.isfinite(values).all():
-            raise InvalidInputError("values contain NaN or infinite entries")
+        if not (np.abs(values) <= MAX_ABS_VALUE).all():  # also false for NaN
+            raise InvalidInputError(f"values must be at most {MAX_ABS_VALUE:g} in magnitude")
         ts = np.asarray(self.timestamps)
         if ts.shape != (n,):
             raise InvalidInputError("timestamps must have one entry per row")
@@ -130,7 +134,8 @@ def difference(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     """First differences, timestamps shifted to the later instant.
 
     Row t of the output equals ``Y[t+1] - Y[t]``; the result has n_obs - 1
-    rows.
+    rows. The difference of readings near `MAX_ABS_VALUE` can exceed it,
+    which raises `InvalidInputError`.
     """
     if panel.n_obs < 2:
         raise InvalidInputError("differencing needs at least 2 observations")

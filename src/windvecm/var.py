@@ -22,7 +22,7 @@ from .errors import (
 )
 from .lstsq import solve_ls
 from .metrics import ForecastPath
-from .panel import DeterministicSpec, TimeSeriesPanel, build_design
+from .panel import MAX_ABS_VALUE, DeterministicSpec, TimeSeriesPanel, build_design
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +87,6 @@ def companion_matrix(phi: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarr
 
 
 @one_blas_thread()
-@np.errstate(over="ignore", invalid="ignore")
 def fit_var(
     panel: TimeSeriesPanel,
     p: int,
@@ -97,8 +96,7 @@ def fit_var(
 
     Requires n_obs - p >= d*p + m + 1 rows. Raises `SingularDesignError`
     (with the condition diagnostic) on rank-deficient designs rather than
-    regularizing. An overflowing ``resid_cov`` raises no numpy warning;
-    `write_model` refuses it.
+    regularizing.
     """
     design = build_design(panel, p, det)
     d, m = panel.d, det.n_terms
@@ -128,8 +126,8 @@ def forecast_var(
     returned path is H x d. ``clip_nonnegative`` floors the *reported* path
     at 0 MW; the recursion itself is never clipped, so the linear model the
     metrics evaluate is unchanged except for the final floor. A recursion
-    that overflows or yields NaN raises `NonFiniteForecastError`, before
-    the floor could hide it.
+    that leaves `MAX_ABS_VALUE` in magnitude or yields NaN raises
+    `NonFiniteForecastError`, before the floor could hide it.
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
@@ -157,8 +155,8 @@ def forecast_var(
                 step += const
             path[p + h] = step
     out = path[p:]
-    if not np.isfinite(out).all():
-        raise NonFiniteForecastError("forecast recursion produced non-finite values")
+    if not (np.abs(out) <= MAX_ABS_VALUE).all():  # also false for NaN
+        raise NonFiniteForecastError(f"forecast is NaN or beyond {MAX_ABS_VALUE:g} in magnitude")
     if clip_nonnegative:
         out = np.maximum(out, 0.0)
     origin = history.n_obs - 1 if origin_index is None else origin_index

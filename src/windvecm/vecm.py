@@ -105,13 +105,11 @@ def _johansen_eigen(
     ordinary symmetric eigenproblem on L^-1 S10 S00^-1 S01 L^-T, which is
     far better behaved at small sample sizes than a direct nonsymmetric
     solve. Returns eigenvalues sorted descending (clipped into [0, 1)) and
-    eigenvector columns v normalized so that v' S11 v = I. Moments that are
-    not finite (an overflowing reading), a singular S00 or S11 and an
-    eigenproblem that does not converge raise `SingularMomentError`.
+    eigenvector columns v normalized so that v' S11 v = I. A singular S00
+    or S11 and an eigenproblem that does not converge raise
+    `SingularMomentError`.
     """
     d = s11.shape[0]
-    if not np.isfinite([s00, s01, s11]).all():
-        raise SingularMomentError("product-moment matrices are not finite")
     try:
         l11 = np.linalg.cholesky(s11)
     except np.linalg.LinAlgError:
@@ -138,7 +136,6 @@ def _johansen_eigen(
 
 
 @one_blas_thread()
-@np.errstate(over="ignore", invalid="ignore")
 def fit_vecm(
     panel: TimeSeriesPanel,
     p: int,
@@ -156,10 +153,7 @@ def fit_vecm(
 
     The eigenvalues are computed for every rank (including r = 0, where
     they are purely diagnostic); if the moment matrices are degenerate the
-    fit proceeds without them for r = 0 and fails for r > 0. Overflowing
-    products (a reading such as 1e160) raise no numpy warning: non-finite
-    moments count as degenerate, and `write_model` refuses a non-finite
-    ``resid_cov``.
+    fit proceeds without them for r = 0 and fails for r > 0.
     """
     d = panel.d
     if not 0 <= r <= d:

@@ -322,24 +322,30 @@ def test_combine_output_is_pinned(tmp_path, sim_spec_file, capsys, flags, report
         )
 
 
-@pytest.mark.parametrize("rank, error", [("1", "SingularMomentError"),
-                                         ("0", "SingularDesignError")])
-def test_fit_on_corrupted_reading_exits_1(tmp_path, capsys, rank, error):
-    # A reading of 1e160 overflows the product moments to inf.
-    from windvecm import TimeSeriesPanel, generate, save_wide
+def test_corrupted_reading_exits_1_before_writing(tmp_path, capsys):
+    # One reading of 1e160 in an otherwise clean file is refused at its line
+    # by ingest, before a fit runs or an output file is written.
+    from windvecm import save_wide
 
-    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
-    values = panel.values.copy()
-    values[450, 1] = 1e160
     data = tmp_path / "bad.csv"
-    save_wide(TimeSeriesPanel(values, panel.timestamps, panel.labels), data)
-    out = tmp_path / "m.txt"
-    with np.errstate(all="ignore"):
-        code = main(["fit", "--data", str(data), "--p", "2", "--rank", rank,
-                     "--out", str(out)])
-    assert code == 1
-    assert f"windvecm: {error}: " in capsys.readouterr().err
-    assert not out.exists()
+    save_wide(generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3)), data)
+    lines = data.read_text().splitlines()
+    fields = lines[451].split(",")   # data row 450, on line 452 of the file
+    fields[2] = "1e160"
+    lines[451] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n")
+    model, out = tmp_path / "m.txt", tmp_path / "bt"
+    commands = (
+        ["fit", "--data", str(data), "--p", "1", "--rank", "0", "--out", str(model)],
+        ["backtest", "--data", str(data), "--window", "96", "--p", "1,2",
+         "--horizon", "4", "--origins", "40", "--out", str(out)],
+    )
+    for argv in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("windvecm: ParseError: line 452: ")
+    assert not model.exists() and not out.exists()
 
 
 def test_fit_has_no_seed_flag(tmp_path, sim_spec_file, capsys):
@@ -404,24 +410,3 @@ def test_backtest_output_is_pinned(tmp_path, sim_spec_file, capsys, case, flags)
                             _SHA256.sub("<sha256>", want_path.read_text(encoding="utf-8")))
     tables = [(out / f"summary_{m}.txt").read_text(encoding="utf-8") for m in ("mae", "mse")]
     assert "\n".join(tables) + "\n" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("model", [["--rank", "0"], []], ids=["vecm-r0", "var"])
-def test_fit_writes_no_model_file_with_non_finite_values(tmp_path, capsys, model):
-    # A reading of 1e160 in the last row is only ever a response, so both
-    # fits succeed, but their residual covariance overflows to inf.
-    from windvecm import TimeSeriesPanel, save_wide
-
-    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
-    values = panel.values.copy()
-    values[-1, 1] = 1e160
-    data = tmp_path / "bad.csv"
-    save_wide(TimeSeriesPanel(values, panel.timestamps, panel.labels), data)
-    out = tmp_path / "m.txt"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["fit", "--data", str(data), "--p", "1", *model, "--out", str(out)])
-    assert code == 1
-    assert ("windvecm: InvalidInputError: model section resid_cov holds non-finite values"
-            in capsys.readouterr().err)
-    assert not out.exists()

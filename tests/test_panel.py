@@ -9,6 +9,7 @@ from windvecm import (
     build_design,
     difference,
 )
+from windvecm.panel import MAX_ABS_VALUE
 
 
 def test_difference_constant_panel_is_zero():
@@ -138,8 +139,12 @@ def test_build_design_insufficient_rows():
 
 
 def test_panel_invariant_validation():
-    with pytest.raises(InvalidInputError):
-        TimeSeriesPanel.from_values([[1.0, np.nan]])
+    # A value is usable up to MAX_ABS_VALUE in magnitude, and no further.
+    for bad in (np.nan, np.inf, 1e160, -1e160):
+        with pytest.raises(InvalidInputError):
+            TimeSeriesPanel.from_values([[1.0, bad]])
+    edge = TimeSeriesPanel.from_values([[MAX_ABS_VALUE, -MAX_ABS_VALUE]])
+    assert edge.values.tolist() == [[MAX_ABS_VALUE, -MAX_ABS_VALUE]]
     ts = np.array(["2020-01-01T00:00", "2020-01-01T00:15", "2020-01-01T00:45"],
                   dtype="datetime64[s]")
     with pytest.raises(InvalidInputError):
