@@ -28,6 +28,7 @@ from windvecm import (
     summarize_best,
 )
 from windvecm.cli import _summary_csv_lines, _summary_table
+from windvecm.panel import MAX_ABS_VALUE
 
 NONE = DeterministicSpec.NONE
 CONST = DeterministicSpec.CONSTANT
@@ -140,6 +141,27 @@ def test_overflowing_forecast_is_a_recorded_failure():
             result = run_grid(panel, config)
         assert len(result.records) == 1
 
+
+def test_corrupted_reading_is_a_recorded_failure():
+    # One reading at the value bound keeps every moment and loss finite; the
+    # p = 2 windows that hold it have an ill-conditioned design and are
+    # recorded, and the grid finishes with finite scores.
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
+    values = panel.values.copy()
+    values[450, 1] = MAX_ABS_VALUE
+    panel = TimeSeriesPanel(values, panel.timestamps, panel.labels)
+    config = BacktestConfig(T_grid=(96,), p_grid=(1, 2), horizon=4, n_origins=40)
+    # Nothing overflows, so numpy reports no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_grid(panel, config)
+    hit = {int(o) for o in result.origins if o - 95 <= 450 <= o}
+    assert len(hit) == 6
+    for rec in result.records:
+        assert rec.n_ok + rec.n_failed == 40
+        assert np.all(np.isfinite(rec.mae)) and np.all(np.isfinite(rec.mse))
+        if rec.p == 2:
+            assert rec.failures == tuple((o, "SingularDesignError") for o in sorted(hit))
 
 def test_run_cell_validates_origin_range():
     panel = generate(random_walk_spec(2, 120, seed=0))

@@ -14,6 +14,7 @@ from windvecm import (
     vecm_to_var,
 )
 from windvecm.cli import main
+from windvecm.panel import MAX_ABS_VALUE
 
 
 @pytest.fixture()
@@ -348,6 +349,27 @@ def test_corrupted_reading_exits_1_before_writing(tmp_path, capsys):
     assert not model.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("rank, error", [("1", "SingularMomentError"),
+                                         ("0", "SingularDesignError")])
+def test_fit_on_corrupted_reading_exits_1(tmp_path, capsys, rank, error):
+    # Readings at the value bound in two series of one row are accepted, and
+    # make the level moments singular and the lagged differences collinear.
+    from windvecm import TimeSeriesPanel, save_wide
+
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
+    values = panel.values.copy()
+    values[450, [1, 2]] = MAX_ABS_VALUE
+    data = tmp_path / "bad.csv"
+    save_wide(TimeSeriesPanel(values, panel.timestamps, panel.labels), data)
+    out = tmp_path / "m.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--data", str(data), "--p", "2", "--rank", rank,
+                     "--out", str(out)])
+    assert code == 1
+    assert f"windvecm: {error}: " in capsys.readouterr().err
+    assert not out.exists()
+
 def test_fit_has_no_seed_flag(tmp_path, sim_spec_file, capsys):
     # Fitting draws nothing at random; only backtest and combine sample origins.
     with pytest.raises(SystemExit):
@@ -410,3 +432,24 @@ def test_backtest_output_is_pinned(tmp_path, sim_spec_file, capsys, case, flags)
                             _SHA256.sub("<sha256>", want_path.read_text(encoding="utf-8")))
     tables = [(out / f"summary_{m}.txt").read_text(encoding="utf-8") for m in ("mae", "mse")]
     assert "\n".join(tables) + "\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", [["--rank", "0"], []], ids=["vecm-r0", "var"])
+def test_fit_writes_no_model_file_with_non_finite_values(tmp_path, model):
+    # A reading at the value bound in the last row is only ever a response;
+    # its squared residual stays finite, so the model file is written and
+    # reads back with a finite residual covariance.
+    from windvecm import TimeSeriesPanel, save_wide
+
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
+    values = panel.values.copy()
+    values[-1, 1] = MAX_ABS_VALUE
+    data = tmp_path / "bad.csv"
+    save_wide(TimeSeriesPanel(values, panel.timestamps, panel.labels), data)
+    out = tmp_path / "m.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", "--data", str(data), "--p", "1", *model, "--out", str(out)])
+    assert code == 0
+    resid_cov = read_model(out).resid_cov
+    assert np.all(np.isfinite(resid_cov)) and resid_cov[1, 1] > 1e190
