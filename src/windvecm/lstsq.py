@@ -8,9 +8,10 @@ instead of silently regularized. The one exception is an exactly consistent
 system (residuals numerically zero), where the minimum-norm solution
 reproduces the data and every forecast derived from it; such
 degenerate-but-exact fits are accepted so that noiseless panels remain
-usable. The VECM concentration step needs only residuals, whose projection
-is well defined for any design, so it calls ``np.linalg.lstsq`` directly,
-without the guard.
+usable. The VECM fit factors [z | Y_{t-1} | dY_t] = QR once and runs its
+three regressions on the column blocks of R; its concentration step needs
+only residuals, whose projection is well defined for any design, so it
+calls ``np.linalg.lstsq`` directly, without the guard.
 """
 
 from __future__ import annotations

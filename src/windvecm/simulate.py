@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .panel import DeterministicSpec, TimeSeriesPanel
+from .panel import MAX_ABS_VALUE, DeterministicSpec, TimeSeriesPanel
 from .var import companion_matrix
 from .vecm import VecmModel, vecm_to_var
 
@@ -133,7 +133,9 @@ def generate(spec: DgpSpec) -> TimeSeriesPanel:
     """Simulate the spec forward; reproducible from ``spec.seed``.
 
     Discards a burn-in of 200 steps, then returns n_obs rows on a synthetic
-    quarter-hourly clock. The spec was validated when it was built.
+    quarter-hourly clock. The spec was validated when it was built; a
+    path that leaves `MAX_ABS_VALUE` in magnitude (a noise_cov or initial
+    state too large) raises `InvalidSpecError`.
     """
     d = spec.d
     rng = np.random.default_rng(spec.seed)
@@ -145,15 +147,23 @@ def generate(spec: DgpSpec) -> TimeSeriesPanel:
     y = spec.initial.copy()
     diffs = [np.zeros(d) for _ in range(spec.p_true - 1)]  # diffs[k-1] = dY_{t-k}
     out = np.empty((total, d))
-    for t in range(total):
-        dy = pi @ y + eps[t]
-        for k, g in enumerate(spec.gamma):
-            dy += g @ diffs[k]
-        y = y + dy
-        if diffs:
-            diffs = [dy] + diffs[:-1]
-        out[t] = y
-    return TimeSeriesPanel.from_values(out[BURN_IN:])
+    # A path past float range is caught by the bound check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(total):
+            dy = pi @ y + eps[t]
+            for k, g in enumerate(spec.gamma):
+                dy += g @ diffs[k]
+            y = y + dy
+            if diffs:
+                diffs = [dy] + diffs[:-1]
+            out[t] = y
+    kept = out[BURN_IN:]
+    if not (np.abs(kept) <= MAX_ABS_VALUE).all():  # also false for NaN
+        raise InvalidSpecError(
+            f"simulated path exceeds the value bound {MAX_ABS_VALUE:g} in magnitude; "
+            "scale noise_cov or initial down"
+        )
+    return TimeSeriesPanel.from_values(kept)
 
 
 def cointegrated_spec(

@@ -28,7 +28,7 @@ from .errors import (
     InvalidRankError,
     SingularMomentError,
 )
-from .lstsq import solve_ls
+from .lstsq import CONDITION_LIMIT, solve_ls
 from .metrics import ForecastPath
 from .panel import DeterministicSpec, TimeSeriesPanel, build_design
 from .var import VarModel, _set_shared_fields, forecast_var
@@ -96,6 +96,26 @@ class VecmModel:
         return self.alpha @ self.beta.T
 
 
+def _moment_cholesky(s: np.ndarray, name: str) -> np.ndarray:
+    """Cholesky factor L of a product-moment matrix ``s`` (s = L L').
+
+    The squared pivot l_ii^2 is the part of series i's variance s_ii that
+    the series before it leave unexplained. A pivot below 1/`CONDITION_LIMIT`
+    of its variance marks a series that is a linear combination of the
+    others up to rounding, so the matrix is rejected as singular, whatever
+    the scale of each series.
+    """
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        raise SingularMomentError(f"product-moment matrix {name} is singular") from None
+    if np.min(np.diag(chol) ** 2 / np.diag(s)) * CONDITION_LIMIT < 1.0:
+        raise SingularMomentError(
+            f"product-moment matrix {name} is singular up to rounding"
+        )
+    return chol
+
+
 def _johansen_eigen(
     s00: np.ndarray, s01: np.ndarray, s11: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -105,19 +125,13 @@ def _johansen_eigen(
     ordinary symmetric eigenproblem on L^-1 S10 S00^-1 S01 L^-T, which is
     far better behaved at small sample sizes than a direct nonsymmetric
     solve. Returns eigenvalues sorted descending (clipped into [0, 1)) and
-    eigenvector columns v normalized so that v' S11 v = I. A singular S00
-    or S11 and an eigenproblem that does not converge raise
-    `SingularMomentError`.
+    eigenvector columns v normalized so that v' S11 v = I. An S00 or S11
+    that is singular, also up to rounding (see `_moment_cholesky`), and an
+    eigenproblem that does not converge raise `SingularMomentError`.
     """
     d = s11.shape[0]
-    try:
-        l11 = np.linalg.cholesky(s11)
-    except np.linalg.LinAlgError:
-        raise SingularMomentError("product-moment matrix S11 is singular") from None
-    try:
-        l00 = np.linalg.cholesky(s00)
-    except np.linalg.LinAlgError:
-        raise SingularMomentError("product-moment matrix S00 is singular") from None
+    l11 = _moment_cholesky(s11, "S11")
+    l00 = _moment_cholesky(s00, "S00")
     half = np.linalg.solve(l00, s01)
     mid = half.T @ half  # S10 S00^-1 S01
     l_inv = np.linalg.solve(l11, np.eye(d))
@@ -145,11 +159,16 @@ def fit_vecm(
     """Johansen reduced-rank fit with fixed cointegrating rank ``r``.
 
     Steps: (i) regress dY_t and Y_{t-1} on the short-run regressors
-    [lagged differences, deterministic term] keeping residuals R0, R1;
+    z = [lagged differences, deterministic term] keeping residuals R0, R1;
     (ii) form S00, S01, S11; (iii) solve the generalized eigenproblem;
     (iv) beta = eigenvectors of the r largest eigenvalues (beta' S11 beta
     = I); (v)-(vi) alpha, gamma, psi by least squares of dY_t on
     [lagged differences, det, beta' Y_{t-1}].
+
+    One QR factorization [z | Y_{t-1} | dY_t] = QR serves all three
+    regressions: each runs on R's column blocks, which have
+    min(n_obs - p, columns) rows, and keeps the solution, singular values
+    and residual cross-products of the same regression on the tall data.
 
     The eigenvalues are computed for every rank (including r = 0, where
     they are purely diagnostic); if the moment matrices are degenerate the
@@ -166,19 +185,21 @@ def fit_vecm(
             f"need n_obs - p >= {d * p + m + 1} rows for d={d}, p={p}, m={m}; "
             f"have {eff}"
         )
-    dy, y1 = design.diff_response, design.lagged_level
-    # One regressor array [lagged differences | det | beta' Y_{t-1}]: z is
-    # its leading columns, the error-correction columns are written below.
-    x = design.regressors(levels=False, extra=r)
     n_sr = d * (p - 1)
-    z = x[:, : n_sr + m]
+    k = n_sr + m
+    # A = [z | Y_{t-1} | dY_t]; every regression below runs on its R factor.
+    a = design.regressors(levels=False, extra=2 * d)
+    a[:, k : k + d] = design.lagged_level
+    a[:, k + d :] = design.diff_response
+    qr_r = np.linalg.qr(a, mode="r")
+    r_z, r_y1, r_dy = qr_r[:, :k], qr_r[:, k : k + d], qr_r[:, k + d :]
     # Residuals of the concentration step. The projection onto span(z) is
     # well defined even for rank-deficient z, so no condition guard here.
-    if z.shape[1]:
-        r0 = dy - z @ np.linalg.lstsq(z, dy, rcond=None)[0]
-        r1 = y1 - z @ np.linalg.lstsq(z, y1, rcond=None)[0]
+    if k:
+        r0 = r_dy - r_z @ np.linalg.lstsq(r_z, r_dy, rcond=None)[0]
+        r1 = r_y1 - r_z @ np.linalg.lstsq(r_z, r_y1, rcond=None)[0]
     else:
-        r0, r1 = dy, y1
+        r0, r1 = r_dy, r_y1
     s00 = r0.T @ r0 / eff
     s01 = r0.T @ r1 / eff
     s11 = r1.T @ r1 / eff
@@ -192,11 +213,10 @@ def fit_vecm(
         eigenvalues, vectors = None, np.zeros((d, d))
     beta = vectors[:, :r].copy()
 
-    x[:, n_sr + m :] = y1 @ beta
-    b, resid, _ = solve_ls(x, dy)
-    gamma = tuple(b[k * d : (k + 1) * d, :].T for k in range(p - 1))
-    psi = b[n_sr : n_sr + m, :].T
-    alpha = b[n_sr + m :, :].T
+    b, resid, _ = solve_ls(np.hstack((r_z, r_y1 @ beta)), r_dy)
+    gamma = tuple(b[j * d : (j + 1) * d, :].T for j in range(p - 1))
+    psi = b[n_sr:k, :].T
+    alpha = b[k:, :].T
     resid_cov = resid.T @ resid / eff
     return VecmModel(
         alpha=alpha,

@@ -163,6 +163,30 @@ def test_corrupted_reading_is_a_recorded_failure():
         if rec.p == 2:
             assert rec.failures == tuple((o, "SingularDesignError") for o in sorted(hit))
 
+
+@pytest.mark.parametrize("third", ["copy", "combination"])
+def test_collinear_regions_fail_every_cointegrated_fit(third):
+    # A third region that copies the second, or equals 2 Y1 - Y2, leaves S11
+    # singular up to rounding noise; no r > 0 fit may be scored on that noise.
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
+    values = panel.values.copy()
+    if third == "copy":
+        values[:, 2] = values[:, 1]
+    else:
+        values[:, 2] = 2 * values[:, 0] - values[:, 1]
+    panel = TimeSeriesPanel(values, panel.timestamps, panel.labels)
+    config = BacktestConfig(T_grid=(96,), p_grid=(1, 2, 3), horizon=4, n_origins=40)
+    result = run_grid(panel, config)
+    for rec in result.records:
+        if rec.r > 0:
+            assert rec.failures == tuple(
+                (int(o), "SingularMomentError") for o in result.origins
+            )
+    (base,) = [rec for rec in result.records if (rec.p, rec.r) == (1, 0)]
+    assert base.n_ok == 40
+    assert np.all(np.isfinite(base.mae)) and np.all(np.isfinite(base.mse))
+
+
 def test_run_cell_validates_origin_range():
     panel = generate(random_walk_spec(2, 120, seed=0))
     with pytest.raises(InvalidInputError):

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,3 +247,18 @@ def test_singular_noise_covariance_is_factored_and_indefinite_rejected():
     assert np.abs(panel.values[:, 0] - panel.values[:, 1]).max() <= 1e-12
     with pytest.raises(InvalidSpecError, match="not positive semidefinite"):
         generate(DgpSpec(noise_cov=np.array([[1.0, 2.0], [2.0, 1.0]]), **base))
+
+
+@pytest.mark.parametrize("change", [
+    dict(noise_cov=np.eye(2) * 1e240),
+    dict(initial=np.array([1e150, 0.0])),
+    dict(initial=np.array([1.7e308, -1.7e308])),  # the first step overflows
+])
+def test_path_beyond_value_bound_is_a_spec_error(change):
+    # A valid spec whose draws leave the panels' value bound is reported as
+    # a bad spec that names the bound, with no numpy warning on the way.
+    spec = dataclasses.replace(cointegrated_spec(d=2, r_true=1, n_obs=50, seed=0), **change)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpecError, match="value bound 1e\\+100"):
+            generate(spec)

@@ -123,11 +123,16 @@ def textbook_vecm(panel, p, r, det):
     return alpha @ beta.T, gamma, psi, resid.T @ resid / dy.shape[0]
 
 
-@pytest.mark.parametrize("p, det", [(1, NONE), (3, NONE), (3, CONST)])
+@pytest.mark.parametrize("p, det", [(1, NONE), (3, NONE), (3, CONST), (7, CONST)])
 def test_fit_matches_textbook_recipe(p, det):
     # p = 1 without a constant is the branch with no concentration regressors.
-    panel = generate(cointegrated_spec(d=4, r_true=2, n_obs=700, seed=21))
-    for r in range(5):
+    if p == 7:
+        # A d = 6 window with 48 effective rows, fewer than the 49 columns of
+        # [z | Y_{t-1} | dY_t], so the fit's triangular factor is wider than tall.
+        panel = generate(cointegrated_spec(d=6, r_true=3, n_obs=400, seed=4)).window(0, 55)
+    else:
+        panel = generate(cointegrated_spec(d=4, r_true=2, n_obs=700, seed=21))
+    for r in range(panel.d + 1):
         model = fit_vecm(panel, p=p, r=r, det=det)
         pi, gamma, psi, cov = textbook_vecm(panel, p, r, det)
         for got, want in [(model.pi, pi), (model.psi, psi), (model.resid_cov, cov),
