@@ -2,13 +2,19 @@
 
 The TimeSeriesPanel is the one data container everything else consumes: a
 dense (n_obs x d) matrix on a strictly uniform clock. This walkthrough
-builds one by hand, differences it, and inspects the regressor arrays the
+builds one by hand, differences it, and inspects the design arrays the
 estimators are fitted on.
 """
 
 import numpy as np
 
-from windvecm import DeterministicSpec, TimeSeriesPanel, build_design, difference
+from windvecm import (
+    DeterministicSpec,
+    InsufficientDataError,
+    TimeSeriesPanel,
+    build_design,
+    difference,
+)
 
 # ---------------------------------------------------------------------------
 # A tiny two-region panel on the quarter-hourly clock
@@ -34,22 +40,29 @@ print("\nfirst differences:")
 print(diffed.values)
 
 # ---------------------------------------------------------------------------
-# The regression design for lag order p = 2
+# The design arrays for lag order p = 1
 #
-# Row i of every array corresponds to time index t = p + i. A fit reads one
-# regressor array: the VAR stacks levels lag-major ([Y_{t-1} | Y_{t-2}]),
-# the VECM's short-run block stacks lagged differences, and both end with
-# the deterministic term, a constant column here.
+# Each fit solves on one array [lags | deterministic terms | targets], row i
+# at time index t = p + i. The VAR stacks levels lag-major and ends with its
+# response Y_t; the VECM stacks lagged differences (none at p = 1) and ends
+# with [Y_{t-1} | dY_t]. The deterministic term is a constant column here.
+# A fit needs n_obs - p >= d*p + m + 1 rows: 4 for this panel at p = 1.
 # ---------------------------------------------------------------------------
-design = build_design(panel, p=2, det=DeterministicSpec.CONSTANT)
-print("\neffective rows:", design.effective_n)
-print("response (Y_t):")
-print(design.response)
-print("VAR regressors [Y_t-1 | Y_t-2 | 1]:")
-print(design.regressors(levels=True))
-print("VECM short-run regressors [dY_t-1 | 1]:")
-print(design.regressors(levels=False))
+var_design = build_design(panel, p=1, det=DeterministicSpec.CONSTANT, levels=True)
+print("\neffective rows:", var_design.shape[0])
+print("VAR design [Y_t-1 | 1 | Y_t]:")
+print(var_design)
+vecm_design = build_design(panel, p=1, det=DeterministicSpec.CONSTANT, levels=False)
+print("VECM design [1 | Y_t-1 | dY_t]:")
+print(vecm_design)
 
 # The identity dY_t = Y_t - Y_{t-1} holds row by row, exactly:
-assert np.array_equal(design.diff_response, design.response - design.lagged_level)
+y_t, y_lag = var_design[:, -2:], var_design[:, :2]
+assert np.array_equal(vecm_design[:, -2:], y_t - y_lag)
 print("\ndifference identity holds exactly")
+
+# One row fewer than the rule asks for is refused:
+try:
+    build_design(panel.window(0, 4), p=1, det=DeterministicSpec.CONSTANT, levels=True)
+except InsufficientDataError as err:
+    print("too short:", err)

@@ -48,7 +48,6 @@ from .metrics import (
 from .model_io import read_model, write_model
 from .panel import (
     DeterministicSpec,
-    RegressionDesign,
     TimeSeriesPanel,
     build_design,
     difference,
@@ -77,7 +76,6 @@ __all__ = [
     "DmTestResult",
     "ForecastPath",
     "IngestReport",
-    "RegressionDesign",
     "TSummary",
     "TimeSeriesPanel",
     "VarModel",

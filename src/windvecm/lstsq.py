@@ -8,10 +8,7 @@ instead of silently regularized. The one exception is an exactly consistent
 system (residuals numerically zero), where the minimum-norm solution
 reproduces the data and every forecast derived from it; such
 degenerate-but-exact fits are accepted so that noiseless panels remain
-usable. The VECM fit factors [z | Y_{t-1} | dY_t] = QR once and runs its
-three regressions on the column blocks of R; its concentration step needs
-only residuals, whose projection is well defined for any design, so it
-calls ``np.linalg.lstsq`` directly, without the guard.
+usable.
 """
 
 from __future__ import annotations
@@ -27,18 +24,19 @@ CONDITION_LIMIT = 1e10
 _CONSISTENT_RTOL = 1e-9
 
 
-def solve_ls(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def solve_ls(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares solve of ``x @ b = y`` for matrix right-hand sides.
 
-    Returns ``(b, residuals, condition)`` where ``residuals = y - x @ b``.
-    Raises `SingularDesignError` when the condition number of ``x`` exceeds
-    `CONDITION_LIMIT` and the system is not exactly consistent.
+    Returns ``(b, residuals)`` where ``residuals = y - x @ b``. Raises
+    `SingularDesignError`, carrying the condition number of ``x``, when that
+    number exceeds `CONDITION_LIMIT` and the system is not exactly
+    consistent.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, k = x.shape
     if k == 0:
-        return np.zeros((0, y.shape[1])), y.copy(), 1.0
+        return np.zeros((0, y.shape[1])), y.copy()
 
     b, _, rank, sv = np.linalg.lstsq(x, y, rcond=None)
     if sv[-1] > 0 and rank == k:
@@ -54,4 +52,4 @@ def solve_ls(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, floa
                 f"(condition {cond:.3e} > {CONDITION_LIMIT:.1e})",
                 condition=cond,
             )
-    return b, resid, cond
+    return b, resid

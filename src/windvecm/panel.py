@@ -1,10 +1,10 @@
 """Multivariate time-series container and lag/difference design construction.
 
 The panel is a dense (n_obs x d) matrix of simultaneously observed series on
-a uniform clock. All estimators consume the regressor arrays built here, so
-the column convention is fixed in one place: lags are ordered lag-major,
-region-minor, i.e. ``[lag 1 | lag 2 | ... | lag p]`` with each lag a d-wide
-group in region order.
+a uniform clock. Every fit solves on the one design array built here, so
+the row alignment and the column convention are fixed in one place: lags
+are ordered lag-major, region-minor, i.e. ``[lag 1 | lag 2 | ... | lag p]``
+with each lag a d-wide group in region order.
 """
 
 from __future__ import annotations
@@ -143,79 +143,49 @@ def difference(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     return TimeSeriesPanel(dv, panel.timestamps[1:], panel.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class RegressionDesign:
-    """Aligned regression arrays of a panel for lag order p, built on use.
-
-    Row i of every array corresponds to time index t = p + i of the source
-    panel. ``response`` (Y_t) and ``lagged_level`` (Y_{t-1}) are views of
-    the panel's values, ``diff_response`` (dY_t) is computed when read, and
-    ``regressors`` builds the one regressor array of a fit.
-    """
-
-    levels: np.ndarray            # (n_obs, d) source panel values
-    p: int = 1
-    det: DeterministicSpec = DeterministicSpec.NONE
-
-    @property
-    def effective_n(self) -> int:
-        return self.levels.shape[0] - self.p
-
-    @property
-    def d(self) -> int:
-        return self.levels.shape[1]
-
-    @property
-    def response(self) -> np.ndarray:
-        """(effective_n, d) Y_t."""
-        return self.levels[self.p :]
-
-    @property
-    def lagged_level(self) -> np.ndarray:
-        """(effective_n, d) Y_{t-1}."""
-        return self.levels[self.p - 1 : -1]
-
-    @property
-    def diff_response(self) -> np.ndarray:
-        """(effective_n, d) Y_t - Y_{t-1}, a new array on every read."""
-        return self.response - self.lagged_level
-
-    def regressors(self, levels: bool, extra: int = 0) -> np.ndarray:
-        """One new array ``[lags | deterministic terms | extra columns]``.
-
-        The lags are the levels ``[Y_{t-1} | ... | Y_{t-p}]`` when ``levels``
-        is true (the VAR design) and the differences
-        ``[dY_{t-1} | ... | dY_{t-p+1}]`` otherwise (the short-run block of
-        the VECM). The deterministic terms are one constant column for
-        `DeterministicSpec.CONSTANT` and none otherwise. The ``extra``
-        trailing columns are zero, for the caller to fill.
-        """
-        y, p, d, eff = self.levels, self.p, self.d, self.effective_n
-        n_lags = p if levels else p - 1
-        out = np.zeros((eff, d * n_lags + self.det.n_terms + extra))
-        for k in range(1, n_lags + 1):
-            block = out[:, (k - 1) * d : k * d]
-            if levels:
-                block[:] = y[p - k : p - k + eff]
-            else:
-                # dY_{t-k} = Y_{t-k} - Y_{t-k-1}
-                np.subtract(y[p - k : p - k + eff], y[p - k - 1 : p - k - 1 + eff], out=block)
-        if self.det.n_terms:
-            out[:, d * n_lags] = 1.0
-        return out
-
-
 def build_design(
-    panel: TimeSeriesPanel, p: int, det: DeterministicSpec = DeterministicSpec.NONE
-) -> RegressionDesign:
-    """Lag/difference design of ``panel`` for lag order ``p``.
+    panel: TimeSeriesPanel,
+    p: int,
+    det: DeterministicSpec = DeterministicSpec.NONE,
+    *,
+    levels: bool,
+) -> np.ndarray:
+    """The one new array a fit solves on, ``[lags | det | targets]``.
 
-    Requires p >= 1 and n_obs > p; effective_n = n_obs - p. The arrays are
-    built when read (see `RegressionDesign`).
+    Row i holds time t = p + i of ``panel``. With ``levels`` (the VAR) the
+    array is ``[Y_{t-1} | ... | Y_{t-p} | det | Y_t]``; otherwise (the VECM)
+    it is ``[dY_{t-1} | ... | dY_{t-p+1} | det | Y_{t-1} | dY_t]``. The
+    deterministic terms are one constant column for
+    `DeterministicSpec.CONSTANT` and none otherwise.
+
+    Requires p >= 1 and n_obs - p >= d*p + m + 1 rows (m deterministic
+    terms), one more than the regressors of either fit's coefficient
+    regression.
     """
     if p < 1:
         raise InvalidInputError(f"lag order must be >= 1, got {p}")
-    n = panel.n_obs
-    if n <= p:
-        raise InsufficientDataError(f"need more than p={p} observations, have {n}")
-    return RegressionDesign(panel.values, p, det)
+    y = panel.values
+    (n, d), m = y.shape, det.n_terms
+    eff, need = n - p, d * p + m + 1
+    if eff < need:
+        raise InsufficientDataError(
+            f"need n_obs - p >= {need} rows for d={d}, p={p}, m={m}; have {max(eff, 0)}"
+        )
+    n_lags = p if levels else p - 1
+    k = d * n_lags + m
+    out = np.empty((eff, k + (d if levels else 2 * d)))
+    for j in range(1, n_lags + 1):
+        block = out[:, (j - 1) * d : j * d]
+        if levels:
+            block[:] = y[p - j : n - j]
+        else:
+            # dY_{t-j} = Y_{t-j} - Y_{t-j-1}
+            np.subtract(y[p - j : n - j], y[p - j - 1 : n - j - 1], out=block)
+    if m:
+        out[:, k - 1] = 1.0
+    if levels:
+        out[:, k:] = y[p:]
+    else:
+        out[:, k : k + d] = y[p - 1 : -1]
+        np.subtract(y[p:], y[p - 1 : -1], out=out[:, k + d :])
+    return out

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import (
-    InsufficientDataError,
-    InsufficientHistoryError,
-    InvalidInputError,
-    NonFiniteForecastError,
-)
+from .errors import InsufficientHistoryError, InvalidInputError, NonFiniteForecastError
 from .lstsq import solve_ls
 from .metrics import ForecastPath
 from .panel import MAX_ABS_VALUE, DeterministicSpec, TimeSeriesPanel, build_design
@@ -94,22 +89,16 @@ def fit_var(
 ) -> VarModel:
     """Estimate a VAR(p) equation-by-equation by least squares.
 
-    Requires n_obs - p >= d*p + m + 1 rows. Raises `SingularDesignError`
+    Requires the rows `build_design` asks for. Raises `SingularDesignError`
     (with the condition diagnostic) on rank-deficient designs rather than
     regularizing.
     """
-    design = build_design(panel, p, det)
-    d, m = panel.d, det.n_terms
-    eff = design.effective_n
-    if eff < d * p + m + 1:
-        raise InsufficientDataError(
-            f"need n_obs - p >= {d * p + m + 1} rows for d={d}, p={p}, m={m}; "
-            f"have {eff}"
-        )
-    b, resid, _ = solve_ls(design.regressors(levels=True), design.response)
+    a = build_design(panel, p, det, levels=True)
+    d = panel.d
+    b, resid = solve_ls(a[:, :-d], a[:, -d:])
     phi = tuple(b[k * d : (k + 1) * d, :].T for k in range(p))
     psi = b[d * p :, :].T
-    resid_cov = resid.T @ resid / eff
+    resid_cov = resid.T @ resid / a.shape[0]
     return VarModel(phi=phi, psi=psi, det=det, resid_cov=resid_cov)
 
 

@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import (
-    InsufficientDataError,
-    InvalidInputError,
-    InvalidRankError,
-    SingularMomentError,
-)
+from .errors import InvalidInputError, InvalidRankError, SingularMomentError
 from .lstsq import CONDITION_LIMIT, solve_ls
 from .metrics import ForecastPath
 from .panel import DeterministicSpec, TimeSeriesPanel, build_design
@@ -173,24 +168,26 @@ def fit_vecm(
     The eigenvalues are computed for every rank (including r = 0, where
     they are purely diagnostic); if the moment matrices are degenerate the
     fit proceeds without them for r = 0 and fails for r > 0.
+
+    A window with fewer than 2d rows beyond z (n_obs - p - k < 2d, k the
+    columns of z) has 2d - (n_obs - p - k) eigenvalues equal to 1, so
+    beta is not determined for 0 < r below that count; those ranks raise
+    `SingularMomentError`.
     """
     d = panel.d
     if not 0 <= r <= d:
         raise InvalidRankError(f"rank {r} outside [0, {d}]")
-    design = build_design(panel, p, det)
-    m = det.n_terms
-    eff = design.effective_n
-    if eff < d * p + m + 1:
-        raise InsufficientDataError(
-            f"need n_obs - p >= {d * p + m + 1} rows for d={d}, p={p}, m={m}; "
-            f"have {eff}"
-        )
+    a = build_design(panel, p, det, levels=False)
+    eff = a.shape[0]
     n_sr = d * (p - 1)
-    k = n_sr + m
+    k = n_sr + det.n_terms
+    n_unit = 2 * d - (eff - k)
+    if 0 < r < n_unit:
+        raise SingularMomentError(
+            f"rank {r} is not identified: {n_unit} eigenvalues equal 1 on "
+            f"{eff - k} rows beyond the short-run regressors (< 2d = {2 * d})"
+        )
     # A = [z | Y_{t-1} | dY_t]; every regression below runs on its R factor.
-    a = design.regressors(levels=False, extra=2 * d)
-    a[:, k : k + d] = design.lagged_level
-    a[:, k + d :] = design.diff_response
     qr_r = np.linalg.qr(a, mode="r")
     r_z, r_y1, r_dy = qr_r[:, :k], qr_r[:, k : k + d], qr_r[:, k + d :]
     # Residuals of the concentration step. The projection onto span(z) is
@@ -213,7 +210,7 @@ def fit_vecm(
         eigenvalues, vectors = None, np.zeros((d, d))
     beta = vectors[:, :r].copy()
 
-    b, resid, _ = solve_ls(np.hstack((r_z, r_y1 @ beta)), r_dy)
+    b, resid = solve_ls(np.hstack((r_z, r_y1 @ beta)), r_dy)
     gamma = tuple(b[j * d : (j + 1) * d, :].T for j in range(p - 1))
     psi = b[n_sr:k, :].T
     alpha = b[k:, :].T

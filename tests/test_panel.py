@@ -61,81 +61,92 @@ def test_second_difference_matches_brute_force():
 
 def test_build_design_p1_shift():
     panel = TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0])
-    design = build_design(panel, 1, DeterministicSpec.NONE)
-    assert np.array_equal(design.response.ravel(), [2.0, 3.0, 4.0])
-    assert np.array_equal(design.regressors(levels=True).ravel(), [1.0, 2.0, 3.0])
-    # p = 1 without deterministic terms has no short-run regressors at all
-    assert design.regressors(levels=False).shape == (3, 0)
+    # VAR: [Y_{t-1} | Y_t]
+    var = build_design(panel, 1, DeterministicSpec.NONE, levels=True)
+    assert np.array_equal(var, [[1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
+    # VECM: p = 1 without deterministic terms has no short-run regressors,
+    # only the targets [Y_{t-1} | dY_t]
+    vecm = build_design(panel, 1, DeterministicSpec.NONE, levels=False)
+    assert np.array_equal(vecm, [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
 
 
 def test_build_design_p2_difference_blocks():
-    panel = TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0])
-    design = build_design(panel, 2, DeterministicSpec.NONE)
-    assert np.array_equal(design.diff_response.ravel(), [1.0, 1.0])
-    assert np.array_equal(design.lagged_level.ravel(), [2.0, 3.0])
-    assert np.array_equal(design.regressors(levels=False).ravel(), [1.0, 1.0])
+    panel = TimeSeriesPanel.from_values([1.0, 2.0, 4.0, 7.0, 11.0])
+    # [dY_{t-1} | Y_{t-1} | dY_t] at t = 2, 3, 4
+    vecm = build_design(panel, 2, DeterministicSpec.NONE, levels=False)
+    assert np.array_equal(vecm, [[1.0, 2.0, 2.0], [2.0, 4.0, 3.0], [3.0, 7.0, 4.0]])
 
 
 def test_build_design_rows_align_with_source_panel():
     # Brute-force index check over every row and lag, plus the constant
-    # column and the zeroed extra columns that follow the lags.
+    # column and the target columns that follow the lags.
     rng = np.random.default_rng(7)
     values = rng.normal(size=(40, 2))
     panel = TimeSeriesPanel.from_values(values)
     for p in (1, 2, 3, 5):
-        design = build_design(panel, p, DeterministicSpec.CONSTANT)
-        assert design.effective_n == 40 - p
-        for extra in (0, 3):
-            levels = design.regressors(levels=True, extra=extra)
-            diffs = design.regressors(levels=False, extra=extra)
-            assert levels.shape == (40 - p, 2 * p + 1 + extra)
-            assert diffs.shape == (40 - p, 2 * (p - 1) + 1 + extra)
-            for x, n_lags in ((levels, p), (diffs, p - 1)):
-                assert np.array_equal(x[:, 2 * n_lags], np.ones(40 - p))
-                assert not x[:, 2 * n_lags + 1 :].any()
-            for i in range(design.effective_n):
-                t = p + i
-                assert np.array_equal(design.response[i], values[t])
-                assert np.array_equal(design.lagged_level[i], values[t - 1])
-                for k in range(1, p + 1):
-                    block = levels[i, (k - 1) * 2 : k * 2]
-                    assert np.array_equal(block, values[t - k])
-                for k in range(1, p):
-                    block = diffs[i, (k - 1) * 2 : k * 2]
-                    assert np.array_equal(block, values[t - k] - values[t - k - 1])
+        levels = build_design(panel, p, DeterministicSpec.CONSTANT, levels=True)
+        diffs = build_design(panel, p, DeterministicSpec.CONSTANT, levels=False)
+        assert levels.shape == (40 - p, 2 * p + 1 + 2)
+        assert diffs.shape == (40 - p, 2 * (p - 1) + 1 + 4)
+        for x, n_lags in ((levels, p), (diffs, p - 1)):
+            assert np.array_equal(x[:, 2 * n_lags], np.ones(40 - p))
+        for i in range(40 - p):
+            t = p + i
+            assert np.array_equal(levels[i, -2:], values[t])
+            assert np.array_equal(diffs[i, -4:-2], values[t - 1])
+            assert np.array_equal(diffs[i, -2:], values[t] - values[t - 1])
+            for k in range(1, p + 1):
+                block = levels[i, (k - 1) * 2 : k * 2]
+                assert np.array_equal(block, values[t - k])
+            for k in range(1, p):
+                block = diffs[i, (k - 1) * 2 : k * 2]
+                assert np.array_equal(block, values[t - k] - values[t - k - 1])
 
 
 def test_design_difference_identity():
     rng = np.random.default_rng(3)
     panel = TimeSeriesPanel.from_values(rng.normal(size=(30, 3)))
-    design = build_design(panel, 2, DeterministicSpec.NONE)
-    assert np.array_equal(
-        design.diff_response, design.response - design.lagged_level
-    )
-    # lag-1 group of the levels regressors is exactly the lagged level
-    assert np.array_equal(design.regressors(levels=True)[:, :3], design.lagged_level)
+    levels = build_design(panel, 2, DeterministicSpec.NONE, levels=True)
+    diffs = build_design(panel, 2, DeterministicSpec.NONE, levels=False)
+    response, lagged_level = levels[:, -3:], levels[:, :3]
+    # the VECM targets are exactly [Y_{t-1} | Y_t - Y_{t-1}] of the VAR's
+    # lag-1 group and response, and its short-run block is Y_{t-1} - Y_{t-2}
+    assert np.array_equal(diffs[:, 3:6], lagged_level)
+    assert np.array_equal(diffs[:, 6:], response - lagged_level)
+    assert np.array_equal(diffs[:, :3], levels[:, :3] - levels[:, 3:6])
 
 
 def test_region_permutation_permutes_columns():
     rng = np.random.default_rng(9)
     values = rng.normal(size=(25, 3))
     perm = [2, 0, 1]
-    a = build_design(TimeSeriesPanel.from_values(values), 2, DeterministicSpec.NONE)
-    b = build_design(
-        TimeSeriesPanel.from_values(values[:, perm]), 2, DeterministicSpec.NONE
-    )
-    assert np.array_equal(b.response, a.response[:, perm])
-    xa, xb = a.regressors(levels=True), b.regressors(levels=True)
-    for k in range(2):
-        assert np.array_equal(
-            xb[:, k * 3 : (k + 1) * 3], xa[:, k * 3 : (k + 1) * 3][:, perm]
+    for levels in (True, False):
+        a = build_design(
+            TimeSeriesPanel.from_values(values), 2, DeterministicSpec.NONE, levels=levels
         )
+        b = build_design(
+            TimeSeriesPanel.from_values(values[:, perm]), 2, DeterministicSpec.NONE,
+            levels=levels,
+        )
+        # every column group is d = 3 wide, lags and targets alike
+        for g in range(a.shape[1] // 3):
+            assert np.array_equal(
+                b[:, g * 3 : (g + 1) * 3], a[:, g * 3 : (g + 1) * 3][:, perm]
+            )
 
 
 def test_build_design_insufficient_rows():
-    panel = TimeSeriesPanel.from_values([1.0, 2.0])
-    with pytest.raises(InsufficientDataError):
-        build_design(panel, 2, DeterministicSpec.NONE)
+    # d = 1, p = 2, m = 0 needs n_obs - p >= 3 rows
+    for levels in (True, False):
+        with pytest.raises(InsufficientDataError):
+            build_design(TimeSeriesPanel.from_values([1.0, 2.0]), 2, levels=levels)
+        with pytest.raises(InsufficientDataError):
+            build_design(TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0]), 2, levels=levels)
+        assert build_design(
+            TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0, 5.0]), 2, levels=levels
+        ).shape[0] == 3
+        with pytest.raises(InvalidInputError):
+            build_design(TimeSeriesPanel.from_values([1.0, 2.0, 3.0]), 0, levels=levels)
 
 
 def test_panel_invariant_validation():
@@ -172,7 +183,10 @@ def test_panel_values_are_immutable():
 def test_deterministic_spec_term_counts():
     assert DeterministicSpec.NONE.n_terms == 0
     assert DeterministicSpec.CONSTANT.n_terms == 1
-    design = build_design(
-        TimeSeriesPanel.from_values([1.0, 2.0, 3.0]), 1, DeterministicSpec.CONSTANT
-    )
-    assert np.array_equal(design.regressors(levels=False), np.ones((2, 1)))
+    panel = TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 5.0])
+    for det in DeterministicSpec:
+        # [det | Y_{t-1} | dY_t]: the deterministic block is n_terms wide
+        vecm = build_design(panel, 1, det, levels=False)
+        assert vecm.shape == (3, det.n_terms + 2)
+        assert np.array_equal(vecm[:, : det.n_terms], np.ones((3, det.n_terms)))
+        assert np.array_equal(vecm[:, det.n_terms :], [[1.0, 1.0], [2.0, 1.0], [3.0, 2.0]])

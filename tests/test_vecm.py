@@ -7,6 +7,7 @@ from helpers import simulate_var_panel, stable_var_model
 
 from windvecm import (
     DeterministicSpec,
+    InsufficientDataError,
     InvalidInputError,
     InvalidRankError,
     SingularMomentError,
@@ -235,6 +236,41 @@ def test_invalid_rank_rejected():
         fit_vecm(panel, p=1, r=3, det=NONE)
     with pytest.raises(InvalidRankError):
         fit_vecm(panel, p=1, r=-1, det=NONE)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("det", [NONE, CONST])
+def test_fits_need_one_row_more_than_regressors(p, det):
+    # Both fits need n_obs - p >= d*p + m + 1 rows. At d = 2 the shortest
+    # window leaves d + 1 rows beyond the short-run regressors, so at most
+    # one Johansen eigenvalue equals 1 and every rank is identified.
+    d, m = 2, det.n_terms
+    values = np.random.default_rng(p).normal(size=(p + d * p + m + 1, d)).cumsum(axis=0)
+    short = TimeSeriesPanel.from_values(values[:-1])
+    enough = TimeSeriesPanel.from_values(values)
+    with pytest.raises(InsufficientDataError):
+        fit_var(short, p, det)
+    fit_var(enough, p, det)
+    for r in range(d + 1):
+        with pytest.raises(InsufficientDataError):
+            fit_vecm(short, p, r, det)
+        assert fit_vecm(enough, p, r, det).r == r
+
+
+def test_ranks_inside_unit_eigenvalues_are_refused():
+    # 52 rows at d = 6, p = 7 leave 45 - 37 = 8 < 2d rows beyond the
+    # short-run regressors: 4 eigenvalues equal 1, so beta is arbitrary for
+    # r = 1..3 (a 1 + 1e-15 rescale moved those forecasts by about 80 %).
+    # The other ranks are determined and stay put under the rescale.
+    panel = generate(cointegrated_spec(d=6, r_true=3, n_obs=400, seed=4)).window(0, 52)
+    scaled = TimeSeriesPanel.from_values(panel.values * (1 + 1e-15))
+    for r in (1, 2, 3):
+        with pytest.raises(SingularMomentError, match="not identified"):
+            fit_vecm(panel, p=7, r=r, det=CONST)
+    for r in (0, 4, 5, 6):
+        base = forecast_vecm(fit_vecm(panel, p=7, r=r, det=CONST), panel, 8).values
+        moved = forecast_vecm(fit_vecm(scaled, p=7, r=r, det=CONST), scaled, 8).values
+        assert np.abs(moved - base).max() <= 1e-10 * np.abs(base).max()
 
 
 def test_model_sizes_come_from_its_arrays():
