@@ -45,7 +45,8 @@ class BacktestConfig:
     """Grid and sampling parameters of a backtest run.
 
     ``r_grid=None`` resolves to 0..d once the panel is known. Every T must
-    leave room for the largest order plus a usable effective sample.
+    leave room for the largest order plus a usable effective sample. No grid
+    may repeat a value: a repeated cell would be fitted and reported twice.
     """
 
     T_grid: tuple[int, ...] = DEFAULT_T_GRID
@@ -73,6 +74,10 @@ class BacktestConfig:
             )
         if min(self.p_grid) < 1 or (self.r_grid is not None and min(self.r_grid) < 0):
             raise InvalidInputError("orders must be >= 1 and ranks >= 0")
+        for name, grid in (("T_grid", self.T_grid), ("p_grid", self.p_grid),
+                           ("r_grid", self.r_grid or ())):
+            if len(set(grid)) < len(grid):
+                raise InvalidInputError(f"{name} repeats a value: {list(grid)}")
 
     def resolve_ranks(self, d: int) -> tuple[int, ...]:
         return tuple(range(d + 1)) if self.r_grid is None else self.r_grid
@@ -149,12 +154,9 @@ def run_cell(
         actual = panel.values[o + 1 : o + 1 + horizon]
         ok.append(int(o))
         errs.append(actual - path.values)
-    errors = (
-        np.stack(errs) if errs else np.zeros((0, horizon, panel.d))
-    )
     return CellResult(
         origins_ok=np.asarray(ok, dtype=int),
-        errors=errors,
+        errors=np.array(errs, dtype=float).reshape(len(errs), horizon, panel.d),
         failures=tuple(failures),
     )
 
@@ -196,7 +198,8 @@ class BacktestGridResult:
 def _scores(errors: np.ndarray):
     """MAE, MSE and per-origin absolute/squared losses of an (N, H, d) cube.
 
-    An empty cube (every origin failed) scores (None, None, [], []).
+    An empty cube (every origin failed) scores (None, None, [], []): scores
+    that do not exist are None, not the NaN a mean over nothing would give.
     """
     if not errors.shape[0]:
         return None, None, np.zeros(0), np.zeros(0)

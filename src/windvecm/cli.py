@@ -62,6 +62,18 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
                         help="deterministic term (default: constant)")
 
 
+def _add_study_args(parser: argparse.ArgumentParser) -> None:
+    """The rolling-origin flags that `backtest` and `combine` share."""
+    parser.add_argument("--seed", type=int, default=BacktestConfig.seed,
+                        help="origin sampling seed")
+    parser.add_argument("--horizon", type=int, default=BacktestConfig.horizon,
+                        help=f"forecast steps H (default {BacktestConfig.horizon})")
+    parser.add_argument("--origins", type=int, default=BacktestConfig.n_origins,
+                        help="number of sampled forecast origins")
+    parser.add_argument("--clip0", action="store_true",
+                        help="floor forecasts at 0 MW")
+
+
 def _load_source(args) -> TimeSeriesPanel:
     if args.sim is not None:
         spec = spec_from_json(Path(args.sim).read_text(encoding="utf-8"))
@@ -275,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bt = sub.add_parser("backtest", help="rolling-origin study over a (T, p, r) grid")
     _add_common_args(bt)
-    bt.add_argument("--seed", type=int, default=BacktestConfig.seed,
-                    help="origin sampling seed")
+    _add_study_args(bt)
     bt.add_argument("--window", type=_int_list, default=BacktestConfig.T_grid,
                     help="comma-separated calibration lengths (default "
                          f"{','.join(map(str, DEFAULT_T_GRID))})")
@@ -284,11 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated orders (default 1..7)")
     bt.add_argument("--rank", type=_int_list, default=None,
                     help="comma-separated ranks (default 0..d)")
-    bt.add_argument("--horizon", type=int, default=BacktestConfig.horizon)
-    bt.add_argument("--origins", type=int, default=BacktestConfig.n_origins,
-                    help="number of sampled forecast origins")
-    bt.add_argument("--clip0", action="store_true",
-                    help="floor forecasts at 0 MW")
     bt.add_argument("--workers", type=int, default=1,
                     help="worker processes, each running whole (T, p) units "
                          "(default 1, serial)")
@@ -298,15 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     comb = sub.add_parser("combine",
                           help="evaluate two models and their equal-weight mean")
     _add_common_args(comb)
-    comb.add_argument("--seed", type=int, default=BacktestConfig.seed,
-                      help="origin sampling seed")
+    _add_study_args(comb)
     comb.add_argument("--model-a", type=_pair, required=True, metavar="P,R")
     comb.add_argument("--model-b", type=_pair, required=True, metavar="P,R")
     comb.add_argument("--window", type=int, required=True,
                       help="calibration length T")
-    comb.add_argument("--horizon", type=int, default=BacktestConfig.horizon)
-    comb.add_argument("--origins", type=int, default=BacktestConfig.n_origins)
-    comb.add_argument("--clip0", action="store_true")
     comb.add_argument("--out", default=None, help="optional output directory")
     comb.set_defaults(func=cmd_combine)
     return parser
@@ -317,7 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WindVecmError as exc:
+    except (WindVecmError, OSError, UnicodeError) as exc:
         print(f"windvecm: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -35,6 +35,7 @@ def solve_ls(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, k = x.shape
+    # No columns, no singular values: the condition number below is undefined.
     if k == 0:
         return np.zeros((0, y.shape[1])), y.copy()
 

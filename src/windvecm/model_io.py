@@ -140,7 +140,7 @@ def read_model(path) -> VarModel | VecmModel:
         det = DeterministicSpec(det_name)
     except ValueError:
         raise ParseError(f"unknown det {det_name!r}", line=reader.pos) from None
-    d = reader.number(reader.scalar("d"), "d", int, 0)
+    d = reader.number(reader.scalar("d"), "d", int, 1)
     p = reader.number(reader.scalar("p"), "p", int, 1)
     if kind == "vecm":
         r = reader.number(reader.scalar("r"), "r", int, 0, d + 1)

@@ -181,8 +181,7 @@ def build_design(
         else:
             # dY_{t-j} = Y_{t-j} - Y_{t-j-1}
             np.subtract(y[p - j : n - j], y[p - j - 1 : n - j - 1], out=block)
-    if m:
-        out[:, k - 1] = 1.0
+    out[:, d * n_lags : k] = 1.0
     if levels:
         out[:, k:] = y[p:]
     else:

@@ -68,6 +68,8 @@ class DgpSpec:
                 f"alpha/beta must both be d x r_true, got {alpha.shape} and {beta.shape}"
             )
         d, r_true = alpha.shape
+        if d < 1:
+            raise InvalidSpecError("a spec needs d >= 1 series")
         if r_true > d:
             raise InvalidSpecError(f"r_true {r_true} outside [0, {d}]")
         gamma = tuple(np.array(g, dtype=float) for g in self.gamma)
@@ -118,8 +120,6 @@ class DgpSpec:
 
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
     """Factor F with F F' = cov for PSD cov (zero matrices allowed)."""
-    if not cov.any():
-        return np.zeros_like(cov)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -52,9 +52,12 @@ class VarModel:
 def _set_shared_fields(model, d: int) -> None:
     """Check and store what `VarModel` and `VecmModel` share.
 
-    ``psi`` must be d x m (m deterministic terms of ``model.det``) and
-    ``resid_cov`` d x d; both are stored as float arrays, along with ``d``.
+    ``d`` must be at least 1, ``psi`` d x m (m deterministic terms of
+    ``model.det``) and ``resid_cov`` d x d; both are stored as float arrays,
+    along with ``d``.
     """
+    if d < 1:
+        raise InvalidInputError(f"a model needs d >= 1 series, got {d}")
     psi = np.asarray(model.psi, dtype=float)
     if psi.shape != (d, model.det.n_terms):
         raise InvalidInputError(
@@ -76,8 +79,7 @@ def companion_matrix(phi: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarr
     comp = np.zeros((d * p, d * p))
     for k, m in enumerate(phi):
         comp[:d, k * d : (k + 1) * d] = m
-    if p > 1:
-        comp[d:, : d * (p - 1)] = np.eye(d * (p - 1))
+    comp[d:, : d * (p - 1)] = np.eye(d * (p - 1))
     return comp
 
 
@@ -135,14 +137,11 @@ def forecast_var(
     path = np.empty((p + horizon, d))
     path[:p] = history.values[-p:]
     coef = np.hstack(model.phi[::-1])
-    const = model.psi[:, 0] if model.det.n_terms else None
+    const = model.psi.sum(axis=1)  # zeros without deterministic terms
     # An explosive model overflows here; that is reported just below.
     with np.errstate(over="ignore", invalid="ignore"):
         for h in range(horizon):
-            step = coef @ path[h : h + p].ravel()
-            if const is not None:
-                step += const
-            path[p + h] = step
+            np.add(coef @ path[h : h + p].ravel(), const, out=path[p + h])
     out = path[p:]
     if not (np.abs(out) <= MAX_ABS_VALUE).all():  # also false for NaN
         raise NonFiniteForecastError(f"forecast is NaN or beyond {MAX_ABS_VALUE:g} in magnitude")

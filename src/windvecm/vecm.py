@@ -192,11 +192,8 @@ def fit_vecm(
     r_z, r_y1, r_dy = qr_r[:, :k], qr_r[:, k : k + d], qr_r[:, k + d :]
     # Residuals of the concentration step. The projection onto span(z) is
     # well defined even for rank-deficient z, so no condition guard here.
-    if k:
-        r0 = r_dy - r_z @ np.linalg.lstsq(r_z, r_dy, rcond=None)[0]
-        r1 = r_y1 - r_z @ np.linalg.lstsq(r_z, r_y1, rcond=None)[0]
-    else:
-        r0, r1 = r_dy, r_y1
+    r0 = r_dy - r_z @ np.linalg.lstsq(r_z, r_dy, rcond=None)[0]
+    r1 = r_y1 - r_z @ np.linalg.lstsq(r_z, r_y1, rcond=None)[0]
     s00 = r0.T @ r0 / eff
     s01 = r0.T @ r1 / eff
     s11 = r1.T @ r1 / eff
@@ -229,21 +226,13 @@ def fit_vecm(
 def vecm_to_var(model: VecmModel) -> VarModel:
     """Exact levels-VAR representation of an error-correction model.
 
-    phi_1 = I + Pi + gamma_1, phi_k = gamma_k - gamma_{k-1} for
-    2 <= k <= p-1, phi_p = -gamma_{p-1}; for p = 1 simply phi_1 = I + Pi.
+    phi_1 = I + Pi + gamma_1 and phi_k = gamma_k - gamma_{k-1} for
+    2 <= k <= p, with gamma_p = 0 (so phi_1 = I + Pi at p = 1).
     """
     d, p = model.d, model.p
-    pi = model.pi
-    eye = np.eye(d)
-    if p == 1:
-        phi: tuple[np.ndarray, ...] = (eye + pi,)
-    else:
-        g = model.gamma
-        mats = [eye + pi + g[0]]
-        for k in range(2, p):
-            mats.append(g[k - 1] - g[k - 2])
-        mats.append(-g[p - 2])
-        phi = tuple(mats)
+    # gamma_p is -0.0: x + (-0.0) is x and (-0.0) - x is -x, bit for bit.
+    g = (*model.gamma, np.full((d, d), -0.0))
+    phi = (np.eye(d) + model.pi + g[0], *(g[k] - g[k - 1] for k in range(1, p)))
     return VarModel(
         phi=phi, psi=model.psi.copy(), det=model.det, resid_cov=model.resid_cov.copy()
     )

@@ -388,6 +388,10 @@ def test_config_validation():
         BacktestConfig(r_grid=())
     with pytest.raises(InvalidInputError, match="ranks >= 0"):
         BacktestConfig(r_grid=(0, -1))
+    # a repeated grid value would fit and report the same cells twice
+    for grid in (dict(T_grid=(96, 192, 96)), dict(p_grid=(1, 1)), dict(r_grid=(0, 2, 2))):
+        with pytest.raises(InvalidInputError, match="repeats a value"):
+            BacktestConfig(**grid)
 
 
 # --------------------------------------------------------------------------

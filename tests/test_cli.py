@@ -453,3 +453,69 @@ def test_fit_writes_no_model_file_with_non_finite_values(tmp_path, model):
     assert code == 0
     resid_cov = read_model(out).resid_cov
     assert np.all(np.isfinite(resid_cov)) and resid_cov[1, 1] > 1e190
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [("missing-data", "FileNotFoundError"), ("non-utf8-data", "UnicodeDecodeError"),
+     ("out-is-a-file", "FileExistsError")],
+)
+def test_os_and_decoding_errors_exit_1_with_one_line(tmp_path, sim_spec_file, capsys,
+                                                     case, error):
+    data = tmp_path / "panel.csv"
+    if case == "non-utf8-data":
+        data.write_bytes(b"timestamp,a\n2020-01-01T00:00,\xff1\n")
+    if case == "out-is-a-file":
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        argv = ["backtest", "--sim", str(sim_spec_file), "--window", "96", "--p", "1",
+                "--origins", "3", "--out", str(out)]
+    else:
+        argv = ["fit", "--data", str(data), "--p", "1", "--out", str(tmp_path / "m.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"windvecm: {error}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("backtest", ["--window", "96,96", "--p", "1,1", "--rank", "0", "--origins", "3"],
+         "T_grid repeats a value: [96, 96]"),
+        ("backtest", ["--window", "96", "--p", "1,2,1", "--origins", "3"],
+         "p_grid repeats a value: [1, 2, 1]"),
+        ("backtest", ["--window", "96", "--p", "1", "--rank", "0,0", "--origins", "3"],
+         "r_grid repeats a value: [0, 0]"),
+        ("backtest", ["--window", "96", "--p", "1", "--rank", "0,4", "--origins", "3"],
+         "r_grid exceeds panel dimension d=3"),
+        ("combine", ["--model-a", "1,0", "--model-b", "2,1", "--window", "96",
+                     "--origins", "0"], "need at least one origin"),
+    ],
+    ids=["repeated-T", "repeated-p", "repeated-r", "rank-above-d", "combine-no-origins"],
+)
+def test_bad_study_input_exits_1_before_any_fit(tmp_path, sim_spec_file, capsys,
+                                                monkeypatch, command, flags, message):
+    from windvecm import backtest
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no cell or pool may start")
+
+    monkeypatch.setattr(backtest, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(backtest, "run_cell", no_work)
+    out = tmp_path / "out"
+    code = main([command, "--sim", str(sim_spec_file), *flags, "--out", str(out)])
+    assert code == 1
+    assert f"windvecm: InvalidInputError: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_combine_with_few_origins_reports_no_dm_test(sim_spec_file, capsys):
+    code = main(["combine", "--sim", str(sim_spec_file), "--model-a", "1,0",
+                 "--model-b", "2,1", "--window", "96", "--origins", "5"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("DM ")] == [
+        f"DM combined vs {name} ({kind}): not computed "
+        "(need at least 10 paired losses, got 5)"
+        for kind in ("absolute", "squared") for name in ("A", "B")
+    ]

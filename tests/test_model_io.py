@@ -87,6 +87,8 @@ def _replace_line(lines, prefix, new, offset=0):
     "kind, prefix, offset, new",
     [
         ("vecm", "d ", 0, "d x"),
+        ("vecm", "d ", 0, "d 0"),
+        ("var", "d ", 0, "d 0"),
         ("vecm", "det ", 0, "det linear"),
         ("vecm", "matrix alpha", 1, "abc"),
         ("var", "matrix phi1", 0, "matrix phi1 one 1"),

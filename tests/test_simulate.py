@@ -180,6 +180,8 @@ def test_spec_alpha_beta_shapes_are_checked():
         DgpSpec(alpha=np.zeros(2), beta=np.zeros(2), **base)
     with pytest.raises(InvalidSpecError, match="r_true 3 outside"):
         DgpSpec(alpha=np.zeros((2, 3)), beta=np.zeros((2, 3)), **base)
+    with pytest.raises(InvalidSpecError, match="d >= 1"):
+        DgpSpec(alpha=np.zeros((0, 0)), beta=np.zeros((0, 0)), **base)
 
 
 def test_explosive_spec_rejected():

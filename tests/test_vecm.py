@@ -305,6 +305,11 @@ def test_model_rejects_inconsistent_alpha_beta():
     with pytest.raises(InvalidInputError, match=r"eigenvalues must lie in \[0, 1\)"):
         VecmModel(alpha=np.zeros((3, 1)), beta=np.zeros((3, 1)),
                   **{**shared, "eigenvalues": [0.5, np.nan, 0.1]})
+    with pytest.raises(InvalidInputError, match="d >= 1"):
+        VecmModel(alpha=np.zeros((0, 0)), beta=np.zeros((0, 0)), **shared)
+    with pytest.raises(InvalidInputError, match="d >= 1"):
+        VarModel(phi=(np.zeros((0, 0)),), psi=np.zeros((0, 0)), det=NONE,
+                 resid_cov=np.zeros((0, 0)))
 
 
 def test_constant_panel_degenerate_moments():
