@@ -99,6 +99,17 @@ def _cell(value, table_format: str | None = None) -> str:
     return format(value, ".17g" if table_format is None else table_format)
 
 
+def _out_dir(out: str) -> Path:
+    """``out`` as an output directory, checked before any fit: it, or else
+    the nearest of its parents that exists, must be a directory, so that a
+    long run cannot fail only when it writes. Nothing is created here."""
+    path = Path(out)
+    existing = next(part for part in (path, *path.parents) if part.exists())
+    if not existing.is_dir():
+        raise FileExistsError(f"{existing} exists and is not a directory")
+    return path
+
+
 def _write_files(out_dir: Path, files: dict[str, list[str]]) -> None:
     """Write every ``{file name: lines}`` entry into ``out_dir`` as UTF-8 text,
     each line ended by a newline."""
@@ -178,6 +189,7 @@ def _summary_csv_lines(rows: tuple[TSummary, ...]) -> list[str]:
 
 
 def cmd_backtest(args) -> int:
+    out_dir = _out_dir(args.out)
     panel = _load_source(args)
     config = BacktestConfig(
         T_grid=args.window,
@@ -203,7 +215,6 @@ def cmd_backtest(args) -> int:
         files[f"summary_{metric}.txt"] = table = _summary_table(rows, metric)
         files[f"summary_{metric}.csv"] = _summary_csv_lines(rows)
         print("\n".join(table) + "\n")
-    out_dir = Path(args.out)
     _write_files(out_dir, files)
     n_failed_total = sum(rec.n_failed for rec in result.records)
     print(
@@ -232,6 +243,7 @@ def _change(value: float, base: float) -> str:
 
 
 def cmd_combine(args) -> int:
+    out_dir = _out_dir(args.out) if args.out else None
     panel = _load_source(args)
     det = DeterministicSpec(args.det)
     origins = sample_origins(panel.n_obs, args.window, args.horizon,
@@ -262,8 +274,7 @@ def cmd_combine(args) -> int:
         lines.append(_dm_line("combined vs A", losses["combined"], losses["a"], kind))
         lines.append(_dm_line("combined vs B", losses["combined"], losses["b"], kind))
     print("\n".join(lines))
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir is not None:
         _write_files(out_dir, {"combine.txt": lines, "combine.csv": rows})
         print(f"files in {out_dir}")
     return 0

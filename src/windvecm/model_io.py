@@ -135,6 +135,8 @@ def read_model(path) -> VarModel | VecmModel:
     if reader.next_line().strip() != _MAGIC:
         raise ParseError("not a windvecm model file", line=1)
     kind = reader.scalar("kind")
+    if kind not in ("vecm", "var"):
+        raise ParseError(f"unknown model kind {kind!r}", line=reader.pos)
     det_name = reader.scalar("det")
     try:
         det = DeterministicSpec(det_name)
@@ -147,10 +149,8 @@ def read_model(path) -> VarModel | VecmModel:
         alpha = reader.matrix("alpha", d, r)
         beta = reader.matrix("beta", d, r)
         gamma = tuple(reader.matrix(f"gamma{k}", d, d) for k in range(1, p))
-    elif kind == "var":
-        phi = tuple(reader.matrix(f"phi{k}", d, d) for k in range(1, p + 1))
     else:
-        raise ParseError(f"unknown model kind {kind!r}")
+        phi = tuple(reader.matrix(f"phi{k}", d, d) for k in range(1, p + 1))
     psi = reader.matrix("psi", d, det.n_terms)
     resid_cov = reader.matrix("resid_cov", d, d)
     eigenvalues = None

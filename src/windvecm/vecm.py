@@ -8,7 +8,10 @@ with ``Pi = alpha beta'`` of rank r. Estimation follows the maximum
 likelihood recipe: concentrate out the short-run terms, solve the resulting
 generalized eigenproblem on the residual product-moment matrices, keep the r
 directions with the largest eigenvalues as the cointegrating space, then
-recover the remaining coefficients by least squares given beta.
+recover the remaining coefficients by least squares given beta. The
+eigenproblem is solved without forming those matrices: its eigenvalues are
+the squared canonical correlations of the two residual blocks, read off one
+SVD of their QR factors' Q0' Q1 (Doornik & O'Brien, 2002).
 
 ``r = d`` leaves Pi unrestricted (equivalent to a levels VAR(p)); ``r = 0``
 drops the level term entirely (a VAR(p-1) on differences). Both limits run
@@ -38,7 +41,7 @@ class VecmModel:
     The sizes d, r and p are read off these arrays. ``eigenvalues`` are the
     d Johansen eigenvalues sorted descending in [0, 1); they are None for
     models obtained by conversion from a VAR (no eigenproblem was solved)
-    or when the moment matrices were degenerate in an r = 0 fit.
+    or when S00 or S11 was singular in an r = 0 fit.
     """
 
     alpha: np.ndarray
@@ -91,57 +94,44 @@ class VecmModel:
         return self.alpha @ self.beta.T
 
 
-def _moment_cholesky(s: np.ndarray, name: str) -> np.ndarray:
-    """Cholesky factor L of a product-moment matrix ``s`` (s = L L').
+def _qr_factor(r: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR factor (Q, T) of a residual block ``r``.
 
-    The squared pivot l_ii^2 is the part of series i's variance s_ii that
-    the series before it leave unexplained. A pivot below 1/`CONDITION_LIMIT`
-    of its variance marks a series that is a linear combination of the
-    others up to rounding, so the matrix is rejected as singular, whatever
-    the scale of each series.
+    T' T is r' r, so t_ii^2 is the part of column i's sum of squares that
+    the columns before it leave unexplained. A zero column, or a t_ii^2
+    below 1/`CONDITION_LIMIT` of its column's sum of squares, marks a
+    series that is a linear combination of the others up to rounding, so
+    the moment matrix ``name`` is rejected as singular, whatever the scale
+    of each series.
     """
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise SingularMomentError(f"product-moment matrix {name} is singular") from None
-    if np.min(np.diag(chol) ** 2 / np.diag(s)) * CONDITION_LIMIT < 1.0:
-        raise SingularMomentError(
-            f"product-moment matrix {name} is singular up to rounding"
-        )
-    return chol
+    q, t = np.linalg.qr(r)
+    ss = (r * r).sum(axis=0)
+    if not np.all((ss > 0.0) & (np.diag(t) ** 2 * CONDITION_LIMIT >= ss)):
+        raise SingularMomentError(f"product-moment matrix {name} is singular")
+    return q, t
 
 
 def _johansen_eigen(
-    s00: np.ndarray, s01: np.ndarray, s11: np.ndarray
+    r0: np.ndarray, r1: np.ndarray, eff: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve lambda S11 v = S10 S00^-1 S01 v via symmetrization.
+    """Solve lambda S11 v = S10 S00^-1 S01 v, S_ij = r_i' r_j / eff.
 
-    S11 is Cholesky-factored (S11 = L L') and the problem reduced to an
-    ordinary symmetric eigenproblem on L^-1 S10 S00^-1 S01 L^-T, which is
-    far better behaved at small sample sizes than a direct nonsymmetric
-    solve. Returns eigenvalues sorted descending (clipped into [0, 1)) and
-    eigenvector columns v normalized so that v' S11 v = I. An S00 or S11
-    that is singular, also up to rounding (see `_moment_cholesky`), and an
-    eigenproblem that does not converge raise `SingularMomentError`.
+    With r0 = Q0 T0 and r1 = Q1 T1, the eigenvalues are the squared
+    singular values of Q0' Q1 = U diag(sigma) V' (the squared canonical
+    correlations of r0 and r1) and the eigenvectors are sqrt(eff) T1^-1 V,
+    so that v' S11 v = I. Returns the eigenvalues sorted descending
+    (clipped into [0, 1)) and the eigenvector columns. A singular S00 or
+    S11, also up to rounding (see `_qr_factor`), and an SVD that does not
+    converge raise `SingularMomentError`.
     """
-    d = s11.shape[0]
-    l11 = _moment_cholesky(s11, "S11")
-    l00 = _moment_cholesky(s00, "S00")
-    half = np.linalg.solve(l00, s01)
-    mid = half.T @ half  # S10 S00^-1 S01
-    l_inv = np.linalg.solve(l11, np.eye(d))
-    sym = l_inv @ mid @ l_inv.T
-    sym = 0.5 * (sym + sym.T)
+    q1, t1 = _qr_factor(r1, "S11")
+    q0, _ = _qr_factor(r0, "S00")
     try:
-        lam, w = np.linalg.eigh(sym)
+        _, sigma, vt = np.linalg.svd(q0.T @ q1)
     except np.linalg.LinAlgError:
         raise SingularMomentError("reduced-rank eigenproblem did not converge") from None
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    w = w[:, order]
-    vectors = l_inv.T @ w
-    lam = np.clip(lam, 0.0, np.nextafter(1.0, 0.0))
-    return lam, vectors
+    lam = np.clip(sigma**2, 0.0, np.nextafter(1.0, 0.0))
+    return lam, np.sqrt(eff) * np.linalg.solve(t1, vt.T)
 
 
 @one_blas_thread()
@@ -155,10 +145,12 @@ def fit_vecm(
 
     Steps: (i) regress dY_t and Y_{t-1} on the short-run regressors
     z = [lagged differences, deterministic term] keeping residuals R0, R1;
-    (ii) form S00, S01, S11; (iii) solve the generalized eigenproblem;
-    (iv) beta = eigenvectors of the r largest eigenvalues (beta' S11 beta
-    = I); (v)-(vi) alpha, gamma, psi by least squares of dY_t on
-    [lagged differences, det, beta' Y_{t-1}].
+    (ii) take thin QR factors R1 = Q1 T1 and R0 = Q0 T0, which reject a
+    singular S11 or S00 (S_ij = R_i' R_j / eff); (iii) solve the
+    generalized eigenproblem by one SVD of Q0' Q1, whose squared singular
+    values are the eigenvalues; (iv) beta = eigenvectors of the r largest
+    eigenvalues (beta' S11 beta = I); (v)-(vi) alpha, gamma, psi by least
+    squares of dY_t on [lagged differences, det, beta' Y_{t-1}].
 
     One QR factorization [z | Y_{t-1} | dY_t] = QR serves all three
     regressions: each runs on R's column blocks, which have
@@ -166,8 +158,8 @@ def fit_vecm(
     and residual cross-products of the same regression on the tall data.
 
     The eigenvalues are computed for every rank (including r = 0, where
-    they are purely diagnostic); if the moment matrices are degenerate the
-    fit proceeds without them for r = 0 and fails for r > 0.
+    they are purely diagnostic); if S00 or S11 is degenerate the fit
+    proceeds without them for r = 0 and fails for r > 0.
 
     A window with fewer than 2d rows beyond z (n_obs - p - k < 2d, k the
     columns of z) has 2d - (n_obs - p - k) eigenvalues equal to 1, so
@@ -194,13 +186,10 @@ def fit_vecm(
     # well defined even for rank-deficient z, so no condition guard here.
     r0 = r_dy - r_z @ np.linalg.lstsq(r_z, r_dy, rcond=None)[0]
     r1 = r_y1 - r_z @ np.linalg.lstsq(r_z, r_y1, rcond=None)[0]
-    s00 = r0.T @ r0 / eff
-    s01 = r0.T @ r1 / eff
-    s11 = r1.T @ r1 / eff
 
     eigenvalues: np.ndarray | None
     try:
-        eigenvalues, vectors = _johansen_eigen(s00, s01, s11)
+        eigenvalues, vectors = _johansen_eigen(r0, r1, eff)
     except SingularMomentError:
         if r > 0:
             raise

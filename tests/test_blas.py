@@ -185,3 +185,27 @@ def test_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert run_python(code) == "[]"
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_grid_records_are_the_same_under_every_start_method(method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method} is not available")
+    code = (
+        "import multiprocessing\n"
+        "from windvecm import backtest, cointegrated_spec, generate\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=0))\n"
+        "config = backtest.BacktestConfig(T_grid=(10, 96), p_grid=(1, 2), r_grid=(0, 1, 3),"
+        " n_origins=3)\n"
+        "def key(result):\n"
+        "    return [(c.T, c.p, c.r, c.mae, c.mse, c.per_origin_abs.tobytes(),\n"
+        "             c.per_origin_sq.tobytes(), c.origins_ok.tobytes(), c.failures)\n"
+        "            for c in result.records]\n"
+        "serial = key(backtest.run_grid(panel, config))\n"
+        "pooled = key(backtest.run_grid(panel, config, workers=2))\n"
+        "print(multiprocessing.get_start_method(), len(serial), pooled == serial,\n"
+        "      any(c[-1] for c in serial), all(c[-1] for c in serial))\n"
+    )
+    # 12 cells, all equal; some have failed origins, some have none.
+    assert run_python(code) == f"{method} 12 True True False"

@@ -200,6 +200,23 @@ def test_combine_identical_models_degenerate_dm(tmp_path, sim_spec_file, capsys)
     assert "degenerate variance" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("backtest", ["--p", "1,x"], "expected comma-separated integers, got '1,x'"),
+        ("combine", ["--model-a", "1,2,3", "--model-b", "1,0", "--window", "96"],
+         "expected 'p,r', got '1,2,3'"),
+    ],
+    ids=["backtest-list", "combine-pair"],
+)
+def test_malformed_integer_flag_is_a_usage_error(sim_spec_file, capsys, command, flags,
+                                                 message):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--sim", str(sim_spec_file), *flags])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_data_and_sim_are_exclusive(tmp_path, sim_spec_file):
     with pytest.raises(SystemExit):
         main(["fit", "--sim", str(sim_spec_file), "--data", "x.csv",
@@ -455,21 +472,40 @@ def test_fit_writes_no_model_file_with_non_finite_values(tmp_path, model):
     assert np.all(np.isfinite(resid_cov)) and resid_cov[1, 1] > 1e190
 
 
+def _forbid_fits(monkeypatch):
+    """Make any cell fit or worker pool in `windvecm.backtest` fail the test."""
+    from windvecm import backtest
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no cell or pool may start")
+
+    monkeypatch.setattr(backtest, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(backtest, "run_cell", no_work)
+
+
 @pytest.mark.parametrize(
     "case, error",
     [("missing-data", "FileNotFoundError"), ("non-utf8-data", "UnicodeDecodeError"),
-     ("out-is-a-file", "FileExistsError")],
+     ("out-is-a-file", "FileExistsError"), ("out-below-a-file", "FileExistsError"),
+     ("combine-out-is-a-file", "FileExistsError")],
 )
 def test_os_and_decoding_errors_exit_1_with_one_line(tmp_path, sim_spec_file, capsys,
-                                                     case, error):
+                                                     monkeypatch, case, error):
     data = tmp_path / "panel.csv"
     if case == "non-utf8-data":
         data.write_bytes(b"timestamp,a\n2020-01-01T00:00,\xff1\n")
-    if case == "out-is-a-file":
-        out = tmp_path / "taken"
-        out.write_text("not a directory\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    if case == "out-is-a-file" or case == "out-below-a-file":
+        # Refused before any fit, not when the files are written after the grid.
+        _forbid_fits(monkeypatch)
+        out = taken if case == "out-is-a-file" else taken / "sub"
         argv = ["backtest", "--sim", str(sim_spec_file), "--window", "96", "--p", "1",
                 "--origins", "3", "--out", str(out)]
+    elif case == "combine-out-is-a-file":
+        _forbid_fits(monkeypatch)
+        argv = ["combine", "--sim", str(sim_spec_file), "--model-a", "1,0",
+                "--model-b", "2,1", "--window", "96", "--origins", "3", "--out", str(taken)]
     else:
         argv = ["fit", "--data", str(data), "--p", "1", "--out", str(tmp_path / "m.txt")]
     assert main(argv) == 1
@@ -495,13 +531,7 @@ def test_os_and_decoding_errors_exit_1_with_one_line(tmp_path, sim_spec_file, ca
 )
 def test_bad_study_input_exits_1_before_any_fit(tmp_path, sim_spec_file, capsys,
                                                 monkeypatch, command, flags, message):
-    from windvecm import backtest
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("no cell or pool may start")
-
-    monkeypatch.setattr(backtest, "ProcessPoolExecutor", no_work)
-    monkeypatch.setattr(backtest, "run_cell", no_work)
+    _forbid_fits(monkeypatch)
     out = tmp_path / "out"
     code = main([command, "--sim", str(sim_spec_file), *flags, "--out", str(out)])
     assert code == 1

@@ -373,14 +373,27 @@ def test_long_wide_and_shuffled_exports_ingest_alike(readings, data):
          "empty region label", 3),
         (["timestamp,a,b", "2020-01-01T00:00,1,2", "2020-01-01T00:15,3"],
          "expected 3 fields, found 2", 3),
+        # blank rows are skipped but still counted as lines
+        (["timestamp,a,b", "", " , , ", "2020-01-01T00:00,1,2", "2020-01-01T00:15,3"],
+         "expected 3 fields, found 2", 5),
+        (["timestamp,region,value", "2020-01-01T00:00,a,1", "2020-01-01T00:15,a,one"],
+         "unparseable value 'one'", 3),
     ],
-    ids=["empty-file", "empty-header-label", "empty-row-label", "ragged-row"],
+    ids=["empty-file", "empty-header-label", "empty-row-label", "ragged-row",
+         "ragged-row-after-blank-rows", "unparseable-value"],
 )
 def test_malformed_file_is_a_parse_error_at_its_line(tmp_path, lines, message, bad_line):
     path = write(tmp_path, "bad.csv", "\n".join(lines))
     with pytest.raises(ParseError, match=message) as err:
         load_panel([path])
     assert err.value.line == bad_line
+
+
+@pytest.mark.parametrize("text", ["timestamp,region,value\n", "timestamp,a,b\n\n,,\n"],
+                         ids=["long-header-only", "wide-blank-rows-only"])
+def test_file_without_readings_is_a_schema_error(tmp_path, text):
+    with pytest.raises(SchemaError, match="no regions found in input"):
+        load_panel([write(tmp_path, "empty.csv", text)])
 
 
 def test_no_complete_row_is_a_no_overlap_error(tmp_path):

@@ -71,6 +71,13 @@ def test_rewrite_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_write_refuses_an_object_that_is_no_model(tmp_path):
+    path = tmp_path / "model.txt"
+    with pytest.raises(TypeError, match="cannot serialize dict"):
+        write_model({"phi": [np.eye(2)]}, path)
+    assert not path.exists()
+
+
 def test_read_rejects_foreign_file(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("hello\nworld\n")
@@ -79,8 +86,9 @@ def test_read_rejects_foreign_file(tmp_path):
 
 
 def _replace_line(lines, prefix, new, offset=0):
+    """Replace the chosen line by ``new``; with ``new`` None, end the file before it."""
     i = next(i for i, line in enumerate(lines) if line.startswith(prefix)) + offset
-    return lines[:i] + [new] + lines[i + 1 :], i + 1
+    return lines[:i] + ([] if new is None else [new, *lines[i + 1 :]]), i + 1
 
 
 @pytest.mark.parametrize(
@@ -108,6 +116,10 @@ def _replace_line(lines, prefix, new, offset=0):
         ("var", "matrix phi2", 0, "matrix phi2 2 3"),
         ("var", "matrix psi", 0, "matrix psi 3 2"),
         ("var", "matrix resid_cov", 0, "matrix resid_cov 3 4"),
+        ("vecm", "kind ", 0, "kind varx"),
+        ("vecm", "det ", 0, "dett none"),
+        ("vecm", "matrix alpha", 1, "0.5 0.25"),
+        ("var", "matrix resid_cov", 2, None),
     ],
 )
 def test_read_rejects_malformed_line_with_its_number(tmp_path, kind, prefix, offset, new):

@@ -162,6 +162,14 @@ def test_panel_invariant_validation():
         TimeSeriesPanel(np.zeros((3, 1)), ts, ("a",))
     with pytest.raises(InvalidInputError):
         TimeSeriesPanel(np.zeros((2, 1)), ts[[1, 0]], ("a",))
+    with pytest.raises(InvalidInputError, match="2-dimensional"):
+        TimeSeriesPanel(np.zeros((3, 1, 1)), ts, ("a",))
+    with pytest.raises(InvalidInputError, match="n_obs >= 1 and d >= 1"):
+        TimeSeriesPanel(np.zeros((0, 1)), ts[:0], ("a",))
+    with pytest.raises(InvalidInputError, match="one entry per row"):
+        TimeSeriesPanel(np.zeros((2, 1)), ts, ("a",))
+    with pytest.raises(InvalidInputError, match="expected 1 labels, got 2"):
+        TimeSeriesPanel(np.zeros((2, 1)), ts[:2], ("a", "b"))
 
 
 def test_panel_values_are_immutable():
@@ -178,6 +186,9 @@ def test_panel_values_are_immutable():
     assert np.array_equal(window.values, values[1:3])
     assert np.array_equal(window.timestamps, stamps[1:3])
     assert window.labels == panel.labels
+    for start, stop in ((-1, 2), (2, 2), (0, 5)):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            panel.window(start, stop)
 
 
 def test_deterministic_spec_term_counts():

@@ -160,6 +160,12 @@ def test_library_spec_rejects_order_below_one(p_true):
         cointegrated_spec(d=3, r_true=1, p_true=p_true)
 
 
+@pytest.mark.parametrize("r_true", [-1, 4])
+def test_library_spec_rejects_rank_outside_zero_to_d(r_true):
+    with pytest.raises(InvalidInputError, match=r"r_true outside \[0, 3\]"):
+        cointegrated_spec(d=3, r_true=r_true)
+
+
 def test_spec_json_rejects_unknown_fields():
     # A misspelt key must not load as a spec with that field left out.
     text = spec_to_json(cointegrated_spec(d=3, r_true=1, n_obs=50, seed=0, p_true=3))
@@ -182,6 +188,16 @@ def test_spec_alpha_beta_shapes_are_checked():
         DgpSpec(alpha=np.zeros((2, 3)), beta=np.zeros((2, 3)), **base)
     with pytest.raises(InvalidSpecError, match="d >= 1"):
         DgpSpec(alpha=np.zeros((0, 0)), beta=np.zeros((0, 0)), **base)
+    rank_one = dict(alpha=np.zeros((2, 1)), beta=np.zeros((2, 1)))
+    for change, message in [
+        (dict(gamma=(np.eye(3),)), "every gamma matrix must be d x d"),
+        (dict(noise_cov=np.eye(3)), "noise_cov must be a symmetric d x d matrix"),
+        (dict(noise_cov=[[1.0, 0.5], [0.0, 1.0]]), "noise_cov must be a symmetric"),
+        (dict(initial=np.zeros(3)), "initial state must have 2 entries"),
+        (dict(n_obs=0), "n_obs must be >= 1"),
+    ]:
+        with pytest.raises(InvalidSpecError, match=message):
+            DgpSpec(**rank_one, **{**base, **change})
 
 
 def test_explosive_spec_rejected():

@@ -9,6 +9,7 @@ from windvecm import (
     DeterministicSpec,
     InsufficientDataError,
     InsufficientHistoryError,
+    InvalidInputError,
     NonFiniteForecastError,
     SingularDesignError,
     TimeSeriesPanel,
@@ -215,6 +216,11 @@ def test_forecast_history_too_short():
     model = stable_var_model(rng, d=2, p=3, det=NONE)
     with pytest.raises(InsufficientHistoryError):
         forecast_var(model, TimeSeriesPanel.from_values([[0.0, 0.0]]), 4)
+    history = TimeSeriesPanel.from_values(np.zeros((5, 2)))
+    with pytest.raises(InvalidInputError, match="horizon must be >= 1, got 0"):
+        forecast_var(model, history, 0)
+    with pytest.raises(InvalidInputError, match="series"):
+        forecast_var(model, TimeSeriesPanel.from_values(np.zeros((5, 3))), 4)
 
 
 def test_forecast_clip_floors_reported_path_only():

@@ -90,15 +90,21 @@ def short_run_regressors(values, p, det):
     return np.hstack([*lags, np.ones((n - p, det.n_terms))])
 
 
-def concentrated_moments(panel, p, det):
-    """S00, S01, S11 rebuilt from the concentration step definition."""
+def concentrated_residuals(panel, p, det):
+    """R0, R1 rebuilt from the concentration step definition."""
     y = panel.values
     z = short_run_regressors(y, p, det)
     r0, r1 = y[p:] - y[p - 1 : -1], y[p - 1 : -1]
     if z.shape[1]:
         r0 = r0 - z @ np.linalg.lstsq(z, r0, rcond=None)[0]
         r1 = r1 - z @ np.linalg.lstsq(z, r1, rcond=None)[0]
-    n = y.shape[0] - p
+    return r0, r1
+
+
+def concentrated_moments(panel, p, det):
+    """S00, S01, S11 rebuilt from the concentration step definition."""
+    r0, r1 = concentrated_residuals(panel, p, det)
+    n = r0.shape[0]
     return r0.T @ r0 / n, r0.T @ r1 / n, r1.T @ r1 / n
 
 
@@ -169,6 +175,25 @@ def test_eigenvalues_match_generalized_symmetric_solver():
         model = fit_vecm(panel, p=3, r=r, det=CONST)
         assert np.abs(model.eigenvalues - expected).max() <= 1e-10
         assert np.abs(model.eigenvalues - direct).max() <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigenvalues_accurate_on_nearly_collinear_panel(seed):
+    # A fourth series that tracks the third up to 1e-3 noise leaves S11 with
+    # a condition number near 1e8. The eigenvalues are the squared canonical
+    # correlations of R0 and R1, i.e. cos^2 of their principal angles, which
+    # scipy computes from orthonormal bases without forming any moment
+    # matrix. A solver that squares the residuals' condition number is off
+    # by 1e-8 here; one that factors the residuals stays near 1e-13.
+    from scipy.linalg import subspace_angles
+
+    values = generate(cointegrated_spec(d=3, r_true=1, n_obs=400, seed=seed)).values
+    noise = 1e-3 * np.random.default_rng(seed).standard_normal(400)
+    panel = TimeSeriesPanel.from_values(np.column_stack([values, values[:, 2] + noise]))
+    r0, r1 = concentrated_residuals(panel, 2, CONST)
+    expected = np.sort(np.cos(subspace_angles(r0, r1)) ** 2)[::-1]
+    model = fit_vecm(panel, p=2, r=1, det=CONST)
+    assert np.abs(model.eigenvalues - expected).max() <= 1e-11
 
 
 def test_residual_determinant_identity():
@@ -305,6 +330,17 @@ def test_model_rejects_inconsistent_alpha_beta():
     with pytest.raises(InvalidInputError, match=r"eigenvalues must lie in \[0, 1\)"):
         VecmModel(alpha=np.zeros((3, 1)), beta=np.zeros((3, 1)),
                   **{**shared, "eigenvalues": [0.5, np.nan, 0.1]})
+    with pytest.raises(InvalidInputError, match="expected 3 eigenvalues"):
+        VecmModel(alpha=np.zeros((3, 1)), beta=np.zeros((3, 1)),
+                  **{**shared, "eigenvalues": [0.5, 0.1]})
+    with pytest.raises(InvalidInputError, match="sorted descending"):
+        VecmModel(alpha=np.zeros((3, 1)), beta=np.zeros((3, 1)),
+                  **{**shared, "eigenvalues": [0.1, 0.5, 0.2]})
+    with pytest.raises(InvalidInputError, match="at least one matrix"):
+        VarModel(phi=(), psi=np.zeros((3, 0)), det=NONE, resid_cov=np.eye(3))
+    with pytest.raises(InvalidInputError, match="every phi matrix must be d x d"):
+        VarModel(phi=(np.eye(3), np.eye(2)), psi=np.zeros((3, 0)), det=NONE,
+                 resid_cov=np.eye(3))
     with pytest.raises(InvalidInputError, match="d >= 1"):
         VecmModel(alpha=np.zeros((0, 0)), beta=np.zeros((0, 0)), **shared)
     with pytest.raises(InvalidInputError, match="d >= 1"):
