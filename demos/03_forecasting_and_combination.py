@@ -9,14 +9,13 @@ forecaster and its components over many origins.
 from windvecm import (
     DeterministicSpec,
     cointegrated_spec,
-    combine_equal,
     dm_test,
     fit_vecm,
     forecast_vecm,
     generate,
     mae,
     mse,
-    per_origin_loss,
+    run_combination,
     sample_origins,
 )
 
@@ -46,34 +45,25 @@ for name, path in (("persistence", persistence), ("rank-2 VECM", low_rank),
     err = [actual - path.values]
     print(f"{name:14s} MAE {mae(err):7.3f}   MSE {mse(err):8.3f}")
 
-combo = combine_equal([low_rank, full_rank])
-print(f"{'combination':14s} MAE {mae([actual - combo.values]):7.3f}   "
-      f"MSE {mse([actual - combo.values]):8.3f}")
+combo = (low_rank.values + full_rank.values) / 2      # the equal-weight mean
+print(f"{'combination':14s} MAE {mae([actual - combo]):7.3f}   "
+      f"MSE {mse([actual - combo]):8.3f}")
 
 # ---------------------------------------------------------------------------
 # Over many origins: is the combination significantly better than its parts?
-# One aggregated loss per origin feeds the DM test.
+# run_combination scores both models and their mean on the same origins,
+# with one aggregated loss per origin to feed the DM test.
 # ---------------------------------------------------------------------------
 T = 384
 origins = sample_origins(panel.n_obs, T, H, 150, seed=11)
-errs = {"low": [], "full": [], "combo": []}
-for o in origins:
-    win = panel.window(o - T + 1, o + 1)
-    act = panel.values[o + 1 : o + 1 + H]
-    a = forecast_vecm(fit_vecm(win, 2, 2, CONST), win, H, origin_index=int(o))
-    b = forecast_vecm(fit_vecm(win, 2, 4, CONST), win, H, origin_index=int(o))
-    c = combine_equal([a, b])
-    errs["low"].append(act - a.values)
-    errs["full"].append(act - b.values)
-    errs["combo"].append(act - c.values)
+result = run_combination(panel, T, (2, 2), (2, 4), origins, H, det=CONST)
+names = {"a": "low", "b": "full", "combined": "combo"}
 
-print(f"\nover {origins.size} origins at T={T}:")
-for name in ("low", "full", "combo"):
-    print(f"  {name:6s} MAE {mae(errs[name]):.4f}")
+print(f"\nover {result.origins_ok.size} origins at T={T}:")
+for key, name in names.items():
+    print(f"  {name:6s} MAE {result.mae[key]:.4f}")
 
-combo_losses = per_origin_loss(errs["combo"], "absolute")
-for name in ("low", "full"):
-    other = per_origin_loss(errs[name], "absolute")
-    result = dm_test(combo_losses, other)
-    print(f"  DM combo vs {name:5s}: statistic {result.statistic:+.3f}, "
-          f"p-value {result.p_value:.4f}")
+for key in ("a", "b"):
+    test = dm_test(result.abs_losses["combined"], result.abs_losses[key])
+    print(f"  DM combo vs {names[key]:5s}: statistic {test.statistic:+.3f}, "
+          f"p-value {test.p_value:.4f}")

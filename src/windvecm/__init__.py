@@ -39,7 +39,6 @@ from .ingest import IngestReport, load_panel, save_wide
 from .metrics import (
     DmTestResult,
     ForecastPath,
-    combine_equal,
     dm_test,
     mae,
     mse,
@@ -96,7 +95,6 @@ __all__ = [
     "WindVecmError",
     "build_design",
     "cointegrated_spec",
-    "combine_equal",
     "companion_matrix",
     "difference",
     "dm_test",

@@ -131,6 +131,9 @@ def run_cell(
 
     The fit window is rows [o - T + 1, o]; forecasts target rows
     o + 1 .. o + horizon. Estimation failures are recorded per origin.
+    ``clip_nonnegative`` floors the scored forecasts at 0 MW, as wind power
+    cannot be negative; the recursion never sees the floor, and one that
+    leaves the value bound is a recorded `NonFiniteForecastError` first.
     """
     origins = np.asarray(origins, dtype=int)
     if origins.size and (origins.min() < T or origins.max() + horizon >= panel.n_obs):
@@ -143,17 +146,14 @@ def run_cell(
     for o in origins:
         window = panel.window(o - T + 1, o + 1)
         try:
-            model = fit_vecm(window, p, r, det)
-            path = forecast_vecm(
-                model, window, horizon, origin_index=o,
-                clip_nonnegative=clip_nonnegative,
-            )
+            forecast = forecast_vecm(fit_vecm(window, p, r, det), window, horizon).values
         except _CELL_FAILURES as exc:
             failures.append((int(o), type(exc).__name__))
             continue
-        actual = panel.values[o + 1 : o + 1 + horizon]
+        if clip_nonnegative:
+            forecast = np.maximum(forecast, 0.0)
         ok.append(int(o))
-        errs.append(actual - path.values)
+        errs.append(panel.values[o + 1 : o + 1 + horizon] - forecast)
     return CellResult(
         origins_ok=np.asarray(ok, dtype=int),
         errors=np.array(errs, dtype=float).reshape(len(errs), horizon, panel.d),
@@ -241,7 +241,10 @@ def _init_worker(panel: TimeSeriesPanel, origins: np.ndarray, config: BacktestCo
     _worker_args = (panel, origins, config)
 
 
+@one_blas_thread()
 def _eval_unit(unit: tuple[int, int]) -> list[CellRecord]:
+    # A forked worker inherits one thread from run_grid's scope; one started
+    # by forkserver or spawn has OpenBLAS's default count until set here.
     return _grid_unit(*_worker_args, unit)
 
 
@@ -266,8 +269,8 @@ def run_grid(
     or, with ``workers > 1``, in a process pool; the records are put back in
     grid order, so the result is identical for any number of workers.
     Deterministic given (panel, config). The units run inside one
-    `one_blas_thread` scope, so pool workers are forked at one OpenBLAS
-    thread and never start BLAS threads of their own.
+    `one_blas_thread` scope, and so does each unit of a pool worker, so
+    every worker runs at one OpenBLAS thread whatever its start method.
     """
     if max(config.resolve_ranks(panel.d)) > panel.d:
         raise InvalidInputError(f"r_grid exceeds panel dimension d={panel.d}")

@@ -176,12 +176,15 @@ def load_panel(
         keys, axis=0, return_inverse=True, return_counts=True
     )
     inverse = inverse.reshape(-1)
-    sums = np.zeros(len(cells))
-    np.add.at(sums, inverse, readings)
-    means = sums / counts
-    # np.mean sums eight or more readings pairwise; match it exactly there
-    for k in np.flatnonzero(counts >= 8):
-        means[k] = np.mean(readings[inverse == k])
+    means = np.bincount(inverse, weights=readings, minlength=len(cells)) / counts
+    # np.mean sums eight or more readings pairwise; match it exactly there,
+    # on each cell's readings in file order (one stable sort groups them)
+    large = np.flatnonzero(counts >= 8)
+    if large.size:
+        grouped = readings[np.argsort(inverse, kind="stable")]
+        offset = np.cumsum(counts) - counts
+        for k in large:
+            means[k] = np.mean(grouped[offset[k] : offset[k] + counts[k]])
     duplicates = len(readings) - len(cells)
 
     cell_column, cell_seconds = cells.T

@@ -1,4 +1,4 @@
-"""Point-forecast loss metrics, equal-weight combination, Diebold-Mariano test.
+"""Point-forecast paths, loss metrics and the Diebold-Mariano test.
 
 The multivariate MAE/MSE sum the L1 / squared-L2 norm of the d-dimensional
 error vector over origins and horizons and divide by N*H only; there is no
@@ -82,24 +82,6 @@ def per_origin_loss(errors: Sequence[np.ndarray] | np.ndarray, kind: str) -> np.
     if kind == "squared":
         return (e**2).sum(axis=(1, 2))
     raise InvalidInputError(f"unknown loss kind {kind!r}")
-
-
-def combine_equal(paths: Sequence[ForecastPath]) -> ForecastPath:
-    """Equal-weight (elementwise mean) combination of forecast paths.
-
-    All paths must share shape and origin.
-    """
-    if len(paths) < 2:
-        raise InvalidInputError("need at least 2 paths to combine")
-    shape = paths[0].values.shape
-    origin = paths[0].origin_index
-    for p in paths[1:]:
-        if p.values.shape != shape:
-            raise InvalidInputError("combined paths must share one H x d shape")
-        if p.origin_index != origin:
-            raise InvalidInputError("combined paths must share the forecast origin")
-    stacked = np.stack([p.values for p in paths])
-    return ForecastPath(stacked.mean(axis=0), origin)
 
 
 @dataclass(frozen=True)

@@ -173,7 +173,8 @@ def build_design(
         )
     n_lags = p if levels else p - 1
     k = d * n_lags + m
-    out = np.empty((eff, k + (d if levels else 2 * d)))
+    # column-major, the layout LAPACK takes without a copy
+    out = np.empty((eff, k + (d if levels else 2 * d)), order="F")
     for j in range(1, n_lags + 1):
         block = out[:, (j - 1) * d : j * d]
         if levels:

@@ -109,16 +109,12 @@ def forecast_var(
     history: TimeSeriesPanel,
     horizon: int,
     origin_index: int | None = None,
-    clip_nonnegative: bool = False,
 ) -> ForecastPath:
     """Recursive plug-in point forecasts for ``horizon`` steps.
 
     Predicted values replace unobserved lags as the recursion advances. The
-    returned path is H x d. ``clip_nonnegative`` floors the *reported* path
-    at 0 MW; the recursion itself is never clipped, so the linear model the
-    metrics evaluate is unchanged except for the final floor. A recursion
-    that leaves `MAX_ABS_VALUE` in magnitude or yields NaN raises
-    `NonFiniteForecastError`, before the floor could hide it.
+    returned path is H x d. A recursion that leaves `MAX_ABS_VALUE` in
+    magnitude or yields NaN raises `NonFiniteForecastError`.
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
@@ -145,7 +141,5 @@ def forecast_var(
     out = path[p:]
     if not (np.abs(out) <= MAX_ABS_VALUE).all():  # also false for NaN
         raise NonFiniteForecastError(f"forecast is NaN or beyond {MAX_ABS_VALUE:g} in magnitude")
-    if clip_nonnegative:
-        out = np.maximum(out, 0.0)
     origin = history.n_obs - 1 if origin_index is None else origin_index
     return ForecastPath(out, origin)

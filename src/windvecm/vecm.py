@@ -256,13 +256,6 @@ def forecast_vecm(
     history: TimeSeriesPanel,
     horizon: int,
     origin_index: int | None = None,
-    clip_nonnegative: bool = False,
 ) -> ForecastPath:
     """Forecast by converting to the levels-VAR representation."""
-    return forecast_var(
-        vecm_to_var(model),
-        history,
-        horizon,
-        origin_index=origin_index,
-        clip_nonnegative=clip_nonnegative,
-    )
+    return forecast_var(vecm_to_var(model), history, horizon, origin_index=origin_index)

@@ -179,6 +179,44 @@ def test_user_thread_setting_is_kept_in_grid_workers():
     assert sorted(lines) == ["parent " + n] + ["worker " + n + " " + n] * 2
 
 
+# Workers started by spawn or forkserver import this script again, so the
+# patch below is in place wherever a fit runs.
+PROBE_SCRIPT = """\
+import multiprocessing, os, sys
+from windvecm import _blas, backtest, cointegrated_spec, generate
+
+real_fit = backtest.fit_vecm
+
+def probed_fit(*args, **kwargs):
+    os.write(1, f"fit {_blas.get_num_threads()}\\n".encode())
+    return real_fit(*args, **kwargs)
+
+backtest.fit_vecm = probed_fit
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=0))
+    config = backtest.BacktestConfig(T_grid=(96,), p_grid=(1, 2), r_grid=(0, 1), n_origins=2)
+    backtest.run_grid(panel, config, workers=2)
+"""
+
+
+@needs_openblas
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_every_worker_fit_starts_at_one_thread(method, tmp_path):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method} is not available")
+    script = tmp_path / "probe_grid.py"
+    script.write_text(PROBE_SCRIPT)
+    env = {k: v for k, v in os.environ.items() if k not in _blas._ENV_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script), method], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # 2 units x 2 ranks x 2 origins, each fit seen before fit_vecm's own scope
+    assert proc.stdout.split("\n") == ["fit 1"] * 8 + [""]
+
+
 def test_import_loads_no_scipy():
     code = (
         "import sys, windvecm, windvecm.cli\n"

@@ -421,3 +421,19 @@ def test_nine_duplicate_readings_average_like_np_mean(tmp_path):
     panel, report = load_panel([path])
     assert panel.values[0, 0] == np.mean(readings)
     assert report.duplicates_resolved == 8
+
+    # Cells of 8 to 30 readings in two regions, interleaved in the file:
+    # each averages like np.mean over its own readings in file order.
+    rng = np.random.default_rng(7)
+    stamps = ["2020-01-01T00:00", "2020-01-01T00:15", "2020-01-01T00:30"]
+    rows = [(i, j, float(v)) for i in range(3) for j in range(2)
+            for v in rng.uniform(0, 1000, size=rng.integers(8, 31))]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    path = write(tmp_path, "dups.csv", "\n".join(
+        ["timestamp,region,value"] + [f"{stamps[i]},{'ab'[j]},{v!r}" for i, j, v in rows]
+    ))
+    panel, report = load_panel([path])
+    want = [[np.mean([v for i2, j2, v in rows if (i2, j2) == (i, j)]) for j in range(2)]
+            for i in range(3)]
+    assert np.array_equal(panel.values, want)
+    assert report.duplicates_resolved == len(rows) - 6

@@ -8,7 +8,6 @@ from windvecm import (
     DegenerateVarianceError,
     ForecastPath,
     InvalidInputError,
-    combine_equal,
     dm_test,
     mae,
     mse,
@@ -84,54 +83,6 @@ def test_per_origin_loss_granularity():
     errors = [np.full((2, 3), 1.0), np.full((2, 3), -2.0)]
     assert np.array_equal(per_origin_loss(errors, "absolute"), [6.0, 12.0])
     assert np.array_equal(per_origin_loss(errors, "squared"), [6.0, 24.0])
-
-
-def test_combine_identical_paths_is_identity():
-    rng = np.random.default_rng(1)
-    path = ForecastPath(rng.normal(size=(8, 3)), origin_index=5)
-    combined = combine_equal([path, path])
-    assert np.array_equal(combined.values, path.values)
-
-
-def test_combine_k_copies_identity():
-    # The elementwise mean of k identical paths reproduces the path exactly
-    # for k = 2 (halving is exact); for larger k the accumulated IEEE sum
-    # can round, leaving at most a one-ulp discrepancy per element.
-    rng = np.random.default_rng(2)
-    path = ForecastPath(rng.normal(size=(6, 2)), origin_index=0)
-    assert np.array_equal(combine_equal([path, path]).values, path.values)
-    one_ulp = np.finfo(float).eps * np.abs(path.values)
-    for k in (3, 4, 5, 8):
-        diff = np.abs(combine_equal([path] * k).values - path.values)
-        assert np.all(diff <= one_ulp)
-
-
-def test_combine_constants():
-    a = ForecastPath(np.zeros((4, 2)), 0)
-    b = ForecastPath(np.full((4, 2), 2.0), 0)
-    assert np.array_equal(combine_equal([a, b]).values, np.ones((4, 2)))
-
-
-def test_combine_three_paths_matches_brute_force():
-    rng = np.random.default_rng(6)
-    paths = [ForecastPath(rng.normal(size=(5, 2)), 9) for _ in range(3)]
-    combined = combine_equal(paths)
-    brute = np.zeros((5, 2))
-    for i in range(5):
-        for j in range(2):
-            brute[i, j] = (paths[0].values[i, j] + paths[1].values[i, j]
-                           + paths[2].values[i, j]) / 3.0
-    assert np.allclose(combined.values, brute, atol=0, rtol=1e-15)
-
-
-def test_combine_validates_shape_and_origin():
-    a = ForecastPath(np.zeros((4, 2)), 0)
-    with pytest.raises(InvalidInputError):
-        combine_equal([a])
-    with pytest.raises(InvalidInputError):
-        combine_equal([a, ForecastPath(np.zeros((5, 2)), 0)])
-    with pytest.raises(InvalidInputError):
-        combine_equal([a, ForecastPath(np.zeros((4, 2)), 1)])
 
 
 def test_dm_identical_losses_is_degenerate():

@@ -14,8 +14,11 @@ from windvecm import (
     SingularDesignError,
     TimeSeriesPanel,
     VarModel,
+    backtest,
     fit_var,
     forecast_var,
+    run_cell,
+    var_to_vecm,
 )
 
 NONE = DeterministicSpec.NONE
@@ -172,14 +175,31 @@ def per_lag_recursion(model, history, horizon, clip_nonnegative):
     return np.maximum(out, 0.0) if clip_nonnegative else out
 
 
+def scored_cell(monkeypatch, model, history, horizon, clip):
+    """`run_cell` at the last row of ``history``, with `fit_vecm` returning ``model``.
+
+    The cell's one window is ``history`` and its target rows are zero, so a
+    forecast the cell scores is minus its recorded error, bit for bit.
+    """
+    values = np.vstack((history.values[:1], history.values, np.zeros((horizon, history.d))))
+    monkeypatch.setattr(backtest, "fit_vecm", lambda *args: var_to_vecm(model))
+    o = history.n_obs
+    return run_cell(TimeSeriesPanel.from_values(values), o, model.p, 0, [o], horizon,
+                    clip_nonnegative=clip)
+
+
 @pytest.mark.parametrize("clip", [False, True])
 @pytest.mark.parametrize("det", [NONE, CONST])
 @pytest.mark.parametrize("p", [1, 4])
-def test_forecast_matches_per_lag_recursion(p, det, clip):
+def test_forecast_matches_per_lag_recursion(p, det, clip, monkeypatch):
     rng = np.random.default_rng(30 + p)
     panel = simulate_var_panel(stable_var_model(rng, d=4, p=p, det=det), 400, rng)
     fitted = fit_var(panel, p, det)
-    got = forecast_var(fitted, panel, 24, clip_nonnegative=clip).values
+    if clip:
+        # run_cell floors the path of this recursion at 0 MW
+        got = -scored_cell(monkeypatch, fitted, panel, 24, clip=True).errors[0]
+    else:
+        got = forecast_var(fitted, panel, 24).values
     want = per_lag_recursion(fitted, panel, 24, clip)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     if clip:
@@ -188,14 +208,17 @@ def test_forecast_matches_per_lag_recursion(p, det, clip):
 
 @pytest.mark.parametrize("clip", [False, True])
 @pytest.mark.parametrize("p", [1, 4])
-def test_overflowing_recursion_raises_even_when_clipped(p, clip):
+def test_overflowing_recursion_raises_even_when_clipped(p, clip, monkeypatch):
     phi = (1e200 * np.eye(2),) + (np.zeros((2, 2)),) * (p - 1)
     model = VarModel(phi=phi, psi=np.zeros((2, 0)), det=NONE, resid_cov=np.eye(2))
     history = TimeSeriesPanel.from_values(np.ones((p, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteForecastError):
-            forecast_var(model, history, 4, clip_nonnegative=clip)
+            forecast_var(model, history, 4)
+        # run_cell records the failure before its floor could hide it
+        cell = scored_cell(monkeypatch, model, history, 4, clip)
+    assert cell.failures == ((p, "NonFiniteForecastError"),) and not cell.errors.size
 
 
 def test_forecast_h1_equals_fitted_equation():
@@ -223,14 +246,18 @@ def test_forecast_history_too_short():
         forecast_var(model, TimeSeriesPanel.from_values(np.zeros((5, 3))), 4)
 
 
-def test_forecast_clip_floors_reported_path_only():
+def test_forecast_clip_floors_reported_path_only(monkeypatch):
     model = VarModel(phi=(np.zeros((1, 1)),), psi=np.array([[-3.0]]), det=CONST,
                      resid_cov=np.eye(1))
     history = TimeSeriesPanel.from_values([5.0])
-    raw = forecast_var(model, history, 3)
-    clipped = forecast_var(model, history, 3, clip_nonnegative=True)
-    assert np.all(raw.values == -3.0)
-    assert np.all(clipped.values == 0.0)
+    assert np.all(forecast_var(model, history, 3).values == -3.0)
+    assert np.all(-scored_cell(monkeypatch, model, history, 3, clip=False).errors == -3.0)
+    assert np.all(-scored_cell(monkeypatch, model, history, 3, clip=True).errors == 0.0)
+    # Y_t = -Y_{t-1} from 5 runs -5, 5, -5, 5; a floor inside the recursion
+    # would hold every step at 0.
+    flip = VarModel(phi=(-np.eye(1),), psi=np.zeros((1, 0)), det=NONE, resid_cov=np.eye(1))
+    scored = -scored_cell(monkeypatch, flip, history, 4, clip=True).errors[0]
+    assert np.array_equal(scored, [[0.0], [5.0], [0.0], [5.0]])
 
 
 def test_resid_cov_divisor_is_effective_n():
