@@ -281,8 +281,7 @@ def run_grid(
         panel.n_obs, t_max, config.horizon, config.n_origins, config.seed
     )
     units = [(T, p) for T in config.T_grid for p in config.p_grid]
-    order = sorted(range(len(units)), key=units.__getitem__, reverse=True)
-    queue = [units[i] for i in order]
+    queue = sorted(units, reverse=True)
     n_workers = min(workers, len(units))
     with one_blas_thread():
         if n_workers == 1:
@@ -294,8 +293,8 @@ def run_grid(
                 initargs=(panel, origins, config),
             ) as pool:
                 done = list(pool.map(_eval_unit, queue))
-    by_unit = dict(zip(order, done))
-    records = tuple(rec for i in range(len(units)) for rec in by_unit[i])
+    by_unit = dict(zip(queue, done))
+    records = tuple(rec for unit in units for rec in by_unit[unit])
     metadata = {
         "seed": config.seed,
         "data_fingerprint": data_fingerprint(panel),
@@ -410,7 +409,14 @@ def run_combination(
     Origins where either component fails to fit are skipped for all three
     forecasters, keeping the three loss series aligned. The combined error
     is the mean of the two component errors, i.e. actual minus the mean path.
+    A model that no window could fit (p < 1, or r outside 0..d) is refused
+    before any fit.
     """
+    for p, r in (spec_a, spec_b):
+        if p < 1 or not 0 <= r <= panel.d:
+            raise InvalidInputError(
+                f"model (p={p}, r={r}) needs p >= 1 and 0 <= r <= d={panel.d}"
+            )
     cell_a = run_cell(panel, T, *spec_a, origins, horizon, det, clip_nonnegative)
     cell_b = run_cell(panel, T, *spec_b, origins, horizon, det, clip_nonnegative)
     in_b = np.isin(cell_a.origins_ok, cell_b.origins_ok)

@@ -166,7 +166,8 @@ def load_panel(
     if expected_regions is not None and len(regions) != expected_regions:
         raise SchemaError(f"expected {expected_regions} regions, found {len(regions)}")
 
-    # one cell per distinct (region, timestamp); its readings are averaged
+    # one cell per distinct (region, timestamp); its value is its readings
+    # summed in file order and divided by their count
     readings = np.array(readings)
     present = ~np.isnan(readings)
     seconds = np.array(stamps, dtype="datetime64[s]").view(np.int64)
@@ -177,14 +178,6 @@ def load_panel(
     )
     inverse = inverse.reshape(-1)
     means = np.bincount(inverse, weights=readings, minlength=len(cells)) / counts
-    # np.mean sums eight or more readings pairwise; match it exactly there,
-    # on each cell's readings in file order (one stable sort groups them)
-    large = np.flatnonzero(counts >= 8)
-    if large.size:
-        grouped = readings[np.argsort(inverse, kind="stable")]
-        offset = np.cumsum(counts) - counts
-        for k in large:
-            means[k] = np.mean(grouped[offset[k] : offset[k] + counts[k]])
     duplicates = len(readings) - len(cells)
 
     cell_column, cell_seconds = cells.T

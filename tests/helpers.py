@@ -1,6 +1,7 @@
-"""Shared test utilities: random stable VARs and direct path simulation.
+"""Shared test utilities: random stable VARs, direct path simulation and a
+wind-like clipped panel.
 
-The simulators here are deliberately independent of windvecm.simulate so
+The VAR simulators here are deliberately independent of windvecm.simulate so
 they can serve as oracles for it.
 """
 
@@ -8,7 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from windvecm import DeterministicSpec, TimeSeriesPanel, VarModel, companion_matrix
+from windvecm import (
+    DeterministicSpec,
+    DgpSpec,
+    TimeSeriesPanel,
+    VarModel,
+    companion_matrix,
+    generate,
+)
 
 
 def stable_var_coeffs(
@@ -53,3 +61,15 @@ def simulate_var_panel(
             acc = acc + model.phi[k] @ y[t - 1 - k]
         y[t] = acc
     return TimeSeriesPanel.from_values(y[p + burn_in :])
+
+
+def clipped_panel(spec: DgpSpec, quantile: float) -> TimeSeriesPanel:
+    """``generate(spec)`` minus each series' ``quantile``, floored at 0.
+
+    Like a wind farm's output, each series then sits at zero for that share
+    of its readings, in long runs, so some windows hold a constant series
+    and their fits fail.
+    """
+    panel = generate(spec)
+    values = np.maximum(panel.values - np.quantile(panel.values, quantile, axis=0), 0.0)
+    return TimeSeriesPanel(values, panel.timestamps, panel.labels)

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import clipped_panel
+
 from windvecm import (
     BacktestConfig,
     DeterministicSpec,
@@ -253,7 +255,8 @@ def _partly_constant_panel() -> TimeSeriesPanel:
 
 def test_grid_parallel_matches_serial():
     # The second input exercises the whole config in the pool: no constant,
-    # clipped paths, and failing origins.
+    # clipped paths, and failing origins. The third, a wind-like panel
+    # floored at 0, fails fits with both singular classes.
     cases = [
         (generate(cointegrated_spec(d=2, r_true=1, n_obs=400, seed=1)),
          BacktestConfig(T_grid=(96,), p_grid=(1, 2), r_grid=(0, 1, 2),
@@ -262,7 +265,11 @@ def test_grid_parallel_matches_serial():
          BacktestConfig(T_grid=(30,), p_grid=(1, 2), r_grid=(0, 1, 2),
                         horizon=8, n_origins=40, seed=4, det=NONE,
                         clip_nonnegative=True)),
+        (clipped_panel(cointegrated_spec(d=3, r_true=1, n_obs=3000, seed=11), 0.25),
+         BacktestConfig(T_grid=(96, 192), p_grid=(1, 2), horizon=4, n_origins=20,
+                        seed=3, det=CONST)),
     ]
+    failed = []   # the failure classes of each input
     for panel, config in cases:
         serial = run_grid(panel, config, workers=1)
         parallel = run_grid(panel, config, workers=2)
@@ -272,7 +279,9 @@ def test_grid_parallel_matches_serial():
             assert ra.mae == rb.mae and ra.mse == rb.mse
             assert np.array_equal(ra.per_origin_abs, rb.per_origin_abs)
             assert np.array_equal(ra.per_origin_sq, rb.per_origin_sq)
-    assert sum(rec.n_failed for rec in serial.records) > 0
+        failed.append({name for rec in serial.records for _, name in rec.failures})
+    assert failed[1]
+    assert {"SingularDesignError", "SingularMomentError"} <= failed[2]
 
 
 def test_per_origin_losses_account_for_failures():

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import clipped_panel
+
 from windvecm import (
     cointegrated_spec,
     generate,
@@ -420,6 +422,10 @@ def _assert_same_layout(got: str, want: str) -> None:
         # r = 0 fits, so the summaries carry an all-failed row and "--" gains
         ("all-failed-T", ["--window", "4,96", "--p", "1", "--horizon", "4",
                           "--origins", "10"]),
+        # a wind-like panel, floored at 0 below each series' 25 % quantile:
+        # r > 0 cells fail on 6 of 20 origins (singular moments or designs)
+        ("clipped", ["--window", "96,192", "--p", "1,2", "--horizon", "4",
+                     "--origins", "20", "--seed", "3"]),
     ],
 )
 def test_backtest_output_is_pinned(tmp_path, sim_spec_file, capsys, case, flags):
@@ -427,13 +433,18 @@ def test_backtest_output_is_pinned(tmp_path, sim_spec_file, capsys, case, flags)
     from windvecm.backtest import data_fingerprint
 
     if case == "all-failed-T":
-        data = tmp_path / "flat.csv"
-        save_wide(TimeSeriesPanel.from_values(np.full((200, 2), 5.0), labels=("n", "s")),
-                  data)
-        source, panel = ["--data", str(data)], load_panel(data)[0]
+        written = TimeSeriesPanel.from_values(np.full((200, 2), 5.0), labels=("n", "s"))
+    elif case == "clipped":
+        written = clipped_panel(cointegrated_spec(d=3, r_true=1, n_obs=3000, seed=11), 0.25)
     else:
+        written = None
+    if written is None:
         source = ["--sim", str(sim_spec_file)]
         panel = generate(spec_from_json(sim_spec_file.read_text()))
+    else:
+        data = tmp_path / "data.csv"
+        save_wide(written, data)
+        source, panel = ["--data", str(data)], load_panel(data)[0]
     out = tmp_path / "bt"
     assert main(["backtest", *source, *flags, "--out", str(out)]) == 0
     want_dir = GOLDEN / case
@@ -526,8 +537,16 @@ def test_os_and_decoding_errors_exit_1_with_one_line(tmp_path, sim_spec_file, ca
          "r_grid exceeds panel dimension d=3"),
         ("combine", ["--model-a", "1,0", "--model-b", "2,1", "--window", "96",
                      "--origins", "0"], "need at least one origin"),
+        # model A would fit every origin before model B failed at its first
+        ("combine", ["--model-a", "7,2", "--model-b", "1,4", "--window", "96",
+                     "--origins", "3"], "model (p=1, r=4) needs p >= 1 and 0 <= r <= d=3"),
+        ("combine", ["--model-a", "7,2", "--model-b", "0,1", "--window", "96",
+                     "--origins", "3"], "model (p=0, r=1) needs p >= 1 and 0 <= r <= d=3"),
+        ("combine", ["--model-a", "7,2", "--model-b", "1,-1", "--window", "96",
+                     "--origins", "3"], "model (p=1, r=-1) needs p >= 1 and 0 <= r <= d=3"),
     ],
-    ids=["repeated-T", "repeated-p", "repeated-r", "rank-above-d", "combine-no-origins"],
+    ids=["repeated-T", "repeated-p", "repeated-r", "rank-above-d", "combine-no-origins",
+         "combine-rank-above-d", "combine-order-0", "combine-negative-rank"],
 )
 def test_bad_study_input_exits_1_before_any_fit(tmp_path, sim_spec_file, capsys,
                                                 monkeypatch, command, flags, message):

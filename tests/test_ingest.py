@@ -409,8 +409,9 @@ def test_no_complete_row_is_a_no_overlap_error(tmp_path):
         load_panel([path])
 
 
-def test_nine_duplicate_readings_average_like_np_mean(tmp_path):
-    # np.mean sums nine values pairwise; a left-to-right sum differs here
+def test_duplicate_readings_average_as_file_order_sum_over_count(tmp_path):
+    # Every cell's value is its readings summed in file order, divided by
+    # their count; np.mean, which sums nine values pairwise, differs here
     readings = [85.65, 236.81, 801.27, 582.16, 94.13, 433.13, 479.05, 159.74, 734.58]
     assert sum(readings) / 9 != np.mean(readings)
     path = write(tmp_path, "dup.csv", "\n".join(
@@ -419,11 +420,11 @@ def test_nine_duplicate_readings_average_like_np_mean(tmp_path):
         + ["2020-01-01T00:15,a,1"]
     ))
     panel, report = load_panel([path])
-    assert panel.values[0, 0] == np.mean(readings)
+    assert panel.values[0, 0] == sum(readings) / 9
     assert report.duplicates_resolved == 8
 
     # Cells of 8 to 30 readings in two regions, interleaved in the file:
-    # each averages like np.mean over its own readings in file order.
+    # each averages its own readings by the same rule.
     rng = np.random.default_rng(7)
     stamps = ["2020-01-01T00:00", "2020-01-01T00:15", "2020-01-01T00:30"]
     rows = [(i, j, float(v)) for i in range(3) for j in range(2)
@@ -433,7 +434,8 @@ def test_nine_duplicate_readings_average_like_np_mean(tmp_path):
         ["timestamp,region,value"] + [f"{stamps[i]},{'ab'[j]},{v!r}" for i, j, v in rows]
     ))
     panel, report = load_panel([path])
-    want = [[np.mean([v for i2, j2, v in rows if (i2, j2) == (i, j)]) for j in range(2)]
-            for i in range(3)]
+    cells = [[[v for i2, j2, v in rows if (i2, j2) == (i, j)] for j in range(2)]
+             for i in range(3)]
+    want = [[sum(cell) / len(cell) for cell in row] for row in cells]
     assert np.array_equal(panel.values, want)
     assert report.duplicates_resolved == len(rows) - 6
