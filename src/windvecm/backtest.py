@@ -117,6 +117,51 @@ class CellResult:
     failures: tuple[tuple[int, str], ...]  # (origin, error class name)
 
 
+def _run_ranks(
+    panel: TimeSeriesPanel,
+    T: int,
+    p: int,
+    ranks: tuple[int, ...],
+    origins: np.ndarray,
+    horizon: int,
+    det: DeterministicSpec,
+    clip_nonnegative: bool,
+) -> tuple[CellResult, ...]:
+    """`run_cell` for each rank of ``ranks`` at one (T, p), in that order.
+
+    Origins run on the outside and ranks on the inside: every rank fits the
+    same window object in turn, so `fit_vecm` factors its design once.
+    """
+    origins = np.asarray(origins, dtype=int)
+    if origins.size and (origins.min() < T or origins.max() + horizon >= panel.n_obs):
+        raise InvalidInputError(
+            "every origin must satisfy o >= T and o + H < n_obs"
+        )
+    # per rank: origins fitted, their (H, d) errors, (origin, class) failures
+    per_rank: list[tuple[list, list, list]] = [([], [], []) for _ in ranks]
+    for o in origins:
+        window = panel.window(o - T + 1, o + 1)
+        actual = panel.values[o + 1 : o + 1 + horizon]
+        for r, (ok, errs, failures) in zip(ranks, per_rank):
+            try:
+                forecast = forecast_vecm(fit_vecm(window, p, r, det), window, horizon).values
+            except _CELL_FAILURES as exc:
+                failures.append((int(o), type(exc).__name__))
+                continue
+            if clip_nonnegative:
+                forecast = np.maximum(forecast, 0.0)
+            ok.append(int(o))
+            errs.append(actual - forecast)
+    return tuple(
+        CellResult(
+            origins_ok=np.asarray(ok, dtype=int),
+            errors=np.array(errs, dtype=float).reshape(len(errs), horizon, panel.d),
+            failures=tuple(failures),
+        )
+        for ok, errs, failures in per_rank
+    )
+
+
 def run_cell(
     panel: TimeSeriesPanel,
     T: int,
@@ -135,30 +180,8 @@ def run_cell(
     cannot be negative; the recursion never sees the floor, and one that
     leaves the value bound is a recorded `NonFiniteForecastError` first.
     """
-    origins = np.asarray(origins, dtype=int)
-    if origins.size and (origins.min() < T or origins.max() + horizon >= panel.n_obs):
-        raise InvalidInputError(
-            "every origin must satisfy o >= T and o + H < n_obs"
-        )
-    ok: list[int] = []
-    errs: list[np.ndarray] = []
-    failures: list[tuple[int, str]] = []
-    for o in origins:
-        window = panel.window(o - T + 1, o + 1)
-        try:
-            forecast = forecast_vecm(fit_vecm(window, p, r, det), window, horizon).values
-        except _CELL_FAILURES as exc:
-            failures.append((int(o), type(exc).__name__))
-            continue
-        if clip_nonnegative:
-            forecast = np.maximum(forecast, 0.0)
-        ok.append(int(o))
-        errs.append(panel.values[o + 1 : o + 1 + horizon] - forecast)
-    return CellResult(
-        origins_ok=np.asarray(ok, dtype=int),
-        errors=np.array(errs, dtype=float).reshape(len(errs), horizon, panel.d),
-        failures=tuple(failures),
-    )
+    (cell,) = _run_ranks(panel, T, p, (r,), origins, horizon, det, clip_nonnegative)
+    return cell
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,16 +242,14 @@ def _grid_unit(
 ) -> list[CellRecord]:
     """Run and score every rank of one (T, p) group of a grid, in rank order."""
     T, p = unit
-    records = []
-    for r in config.resolve_ranks(panel.d):
-        cell = run_cell(
-            panel, T, p, r, origins, config.horizon,
-            det=config.det, clip_nonnegative=config.clip_nonnegative,
-        )
-        records.append(
-            CellRecord(T, p, r, *_scores(cell.errors), cell.origins_ok, cell.failures)
-        )
-    return records
+    ranks = config.resolve_ranks(panel.d)
+    cells = _run_ranks(
+        panel, T, p, ranks, origins, config.horizon, config.det, config.clip_nonnegative
+    )
+    return [
+        CellRecord(T, p, r, *_scores(cell.errors), cell.origins_ok, cell.failures)
+        for r, cell in zip(ranks, cells)
+    ]
 
 
 # Worker-process state for parallel grid evaluation: the panel is shipped
@@ -264,10 +285,12 @@ def run_grid(
 ) -> BacktestGridResult:
     """Evaluate every (T, p, r) cell on one shared origin set.
 
-    The unit of work is one (T, p) group covering every rank. Units run
-    most expensive first (T descending, then p descending), in this process
-    or, with ``workers > 1``, in a process pool; the records are put back in
-    grid order, so the result is identical for any number of workers.
+    The unit of work is one (T, p) group covering every rank: it loops
+    over the origins, and at each origin fits every rank on one window, so
+    the ranks share that window's design factor. Units run most expensive
+    first (T descending, then p descending), in this process or, with
+    ``workers > 1``, in a process pool; the records are put back in grid
+    order, so the result is identical for any number of workers.
     Deterministic given (panel, config). The units run inside one
     `one_blas_thread` scope, and so does each unit of a pool worker, so
     every worker runs at one OpenBLAS thread whatever its start method.

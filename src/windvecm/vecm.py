@@ -20,6 +20,7 @@ through the same code path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +135,24 @@ def _johansen_eigen(
     return lam, np.sqrt(eff) * np.linalg.solve(t1, vt.T)
 
 
+@functools.lru_cache(maxsize=1)
+def _design_r(
+    panel: TimeSeriesPanel, p: int, det: DeterministicSpec
+) -> tuple[int, np.ndarray]:
+    """Rows and read-only R factor of the VECM design [z | Y_{t-1} | dY_t].
+
+    Every rank fitted on one window and order solves on this factor, so the
+    last one is kept. The key is the window object itself (a panel hashes
+    by identity, and its values are read-only), held until the next miss
+    replaces it. A call that raises, such as `InsufficientDataError` on a
+    short window, is not kept.
+    """
+    a = build_design(panel, p, det, levels=False)
+    qr_r = np.linalg.qr(a, mode="r")
+    qr_r.setflags(write=False)
+    return a.shape[0], qr_r
+
+
 @one_blas_thread()
 def fit_vecm(
     panel: TimeSeriesPanel,
@@ -156,6 +175,8 @@ def fit_vecm(
     regressions: each runs on R's column blocks, which have
     min(n_obs - p, columns) rows, and keeps the solution, singular values
     and residual cross-products of the same regression on the tall data.
+    Consecutive fits on the same window object and order (the ranks of one
+    grid cell's origin) reuse one R factor.
 
     The eigenvalues are computed for every rank (including r = 0, where
     they are purely diagnostic); if S00 or S11 is degenerate the fit
@@ -169,8 +190,7 @@ def fit_vecm(
     d = panel.d
     if not 0 <= r <= d:
         raise InvalidRankError(f"rank {r} outside [0, {d}]")
-    a = build_design(panel, p, det, levels=False)
-    eff = a.shape[0]
+    eff, qr_r = _design_r(panel, p, det)
     n_sr = d * (p - 1)
     k = n_sr + det.n_terms
     n_unit = 2 * d - (eff - k)
@@ -179,8 +199,7 @@ def fit_vecm(
             f"rank {r} is not identified: {n_unit} eigenvalues equal 1 on "
             f"{eff - k} rows beyond the short-run regressors (< 2d = {2 * d})"
         )
-    # A = [z | Y_{t-1} | dY_t]; every regression below runs on its R factor.
-    qr_r = np.linalg.qr(a, mode="r")
+    # Every regression below runs on the R factor of A = [z | Y_{t-1} | dY_t].
     r_z, r_y1, r_dy = qr_r[:, :k], qr_r[:, k : k + d], qr_r[:, k + d :]
     # Residuals of the concentration step. The projection onto span(z) is
     # well defined even for rank-deficient z, so no condition guard here.

@@ -22,6 +22,7 @@ from windvecm import (
     generate,
     mae,
     mse,
+    per_origin_loss,
     random_walk_spec,
     run_cell,
     run_combination,
@@ -144,14 +145,18 @@ def test_overflowing_forecast_is_a_recorded_failure():
         assert len(result.records) == 1
 
 
+def _corrupted_reading_panel() -> TimeSeriesPanel:
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
+    values = panel.values.copy()
+    values[450, 1] = MAX_ABS_VALUE
+    return TimeSeriesPanel(values, panel.timestamps, panel.labels)
+
+
 def test_corrupted_reading_is_a_recorded_failure():
     # One reading at the value bound keeps every moment and loss finite; the
     # p = 2 windows that hold it have an ill-conditioned design and are
     # recorded, and the grid finishes with finite scores.
-    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
-    values = panel.values.copy()
-    values[450, 1] = MAX_ABS_VALUE
-    panel = TimeSeriesPanel(values, panel.timestamps, panel.labels)
+    panel = _corrupted_reading_panel()
     config = BacktestConfig(T_grid=(96,), p_grid=(1, 2), horizon=4, n_origins=40)
     # Nothing overflows, so numpy reports no warning.
     with warnings.catch_warnings():
@@ -282,6 +287,55 @@ def test_grid_parallel_matches_serial():
         failed.append({name for rec in serial.records for _, name in rec.failures})
     assert failed[1]
     assert {"SingularDesignError", "SingularMomentError"} <= failed[2]
+
+
+@pytest.mark.parametrize("case", ["clipped", "corrupted-reading", "minimal-T"])
+def test_grid_cells_match_cells_run_alone(case):
+    # The ranks of one (T, p) fit each origin's window in turn and share its
+    # design factor. Every record must equal its cell run alone, bit for bit,
+    # and no rank's record may depend on which other ranks shared the window.
+    refused = {}   # (T, p, r) -> the class every origin of that cell fails with
+    if case == "clipped":
+        panel = clipped_panel(cointegrated_spec(d=3, r_true=1, n_obs=3000, seed=11), 0.25)
+        config = BacktestConfig(T_grid=(96, 192), p_grid=(1, 2), horizon=4,
+                                n_origins=20, seed=3)
+    elif case == "corrupted-reading":
+        panel = _corrupted_reading_panel()
+        config = BacktestConfig(T_grid=(96,), p_grid=(1, 2), horizon=4, n_origins=40)
+    else:
+        # (T, p) = (6, 2) is too short for any fit; (6, 1) and (10, 2) leave
+        # 4 < 2d rows beyond z for d = 3, so r = 1 is not identified there.
+        panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=200, seed=5))
+        config = BacktestConfig(T_grid=(6, 10), p_grid=(1, 2), horizon=4,
+                                n_origins=10, seed=1)
+        refused = {(6, 2, r): "InsufficientDataError" for r in range(4)}
+        refused |= {(6, 1, 1): "SingularMomentError", (10, 2, 1): "SingularMomentError"}
+    result = run_grid(panel, config)
+    assert len(result.records) == len(config.T_grid) * len(config.p_grid) * 4
+    assert any(rec.failures for rec in result.records)
+    for rec in result.records:
+        cell = run_cell(panel, rec.T, rec.p, rec.r, result.origins, config.horizon,
+                        det=config.det)
+        assert np.array_equal(rec.origins_ok, cell.origins_ok)
+        assert rec.failures == cell.failures
+        if cell.errors.shape[0]:
+            assert rec.mae == mae(cell.errors) and rec.mse == mse(cell.errors)
+            assert np.array_equal(rec.per_origin_abs, per_origin_loss(cell.errors, "absolute"))
+            assert np.array_equal(rec.per_origin_sq, per_origin_loss(cell.errors, "squared"))
+        else:
+            assert rec.mae is None and rec.mse is None
+        if (rec.T, rec.p, rec.r) in refused:
+            assert [name for _, name in rec.failures] == [refused[rec.T, rec.p, rec.r]] * 10
+    full = {(rec.T, rec.p, rec.r): rec for rec in result.records}
+    subset = run_grid(panel, dataclasses.replace(config, r_grid=(3, 1)))
+    assert [rec.r for rec in subset.records[:2]] == [3, 1]
+    for rec in subset.records:
+        want = full[rec.T, rec.p, rec.r]
+        assert rec.mae == want.mae and rec.mse == want.mse
+        assert np.array_equal(rec.origins_ok, want.origins_ok)
+        assert np.array_equal(rec.per_origin_abs, want.per_origin_abs)
+        assert np.array_equal(rec.per_origin_sq, want.per_origin_sq)
+        assert rec.failures == want.failures
 
 
 def test_per_origin_losses_account_for_failures():

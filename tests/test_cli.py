@@ -484,14 +484,14 @@ def test_fit_writes_no_model_file_with_non_finite_values(tmp_path, model):
 
 
 def _forbid_fits(monkeypatch):
-    """Make any cell fit or worker pool in `windvecm.backtest` fail the test."""
+    """Make any fit or worker pool started by `windvecm.backtest` fail the test."""
     from windvecm import backtest
 
     def no_work(*args, **kwargs):
-        raise AssertionError("no cell or pool may start")
+        raise AssertionError("no fit or pool may start")
 
     monkeypatch.setattr(backtest, "ProcessPoolExecutor", no_work)
-    monkeypatch.setattr(backtest, "run_cell", no_work)
+    monkeypatch.setattr(backtest, "fit_vecm", no_work)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from windvecm import (
     TimeSeriesPanel,
     VarModel,
     VecmModel,
+    build_design,
     cointegrated_spec,
     difference,
     fit_var,
@@ -25,6 +26,7 @@ from windvecm import (
     var_to_vecm,
     vecm_to_var,
 )
+from windvecm import vecm
 
 NONE = DeterministicSpec.NONE
 CONST = DeterministicSpec.CONSTANT
@@ -296,6 +298,32 @@ def test_ranks_inside_unit_eigenvalues_are_refused():
         base = forecast_vecm(fit_vecm(panel, p=7, r=r, det=CONST), panel, 8).values
         moved = forecast_vecm(fit_vecm(scaled, p=7, r=r, det=CONST), scaled, 8).values
         assert np.abs(moved - base).max() <= 1e-10 * np.abs(base).max()
+
+
+def test_ranks_share_a_window_factor_and_a_new_window_gets_its_own():
+    # Consecutive fits on one window object and order reuse its R factor.
+    # A different window of the same shape and order must not see that
+    # factor, and no fit may write to it.
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=400, seed=6))
+    a, b = panel.window(0, 200), panel.window(100, 300)
+    fresh_b = TimeSeriesPanel(b.values.copy(), b.timestamps, b.labels)
+
+    def fits(window):
+        return [fit_vecm(window, p=2, r=r, det=CONST) for r in range(4)]
+
+    fits(a)
+    hits = vecm._design_r.cache_info().hits
+    got = fits(b)
+    assert vecm._design_r.cache_info().hits == hits + 3
+    _, factor = vecm._design_r(b, 2, CONST)
+    assert vecm._design_r.cache_info().hits == hits + 4
+    assert not factor.flags.writeable
+    design = build_design(fresh_b, 2, CONST, levels=False)
+    assert np.array_equal(factor, np.linalg.qr(design, mode="r"))
+    for model, want in zip(got, fits(fresh_b), strict=True):
+        for name in ("alpha", "beta", "psi", "eigenvalues", "resid_cov"):
+            assert np.array_equal(getattr(model, name), getattr(want, name))
+        assert all(np.array_equal(g, w) for g, w in zip(model.gamma, want.gamma, strict=True))
 
 
 def test_model_sizes_come_from_its_arrays():
