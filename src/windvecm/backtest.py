@@ -9,8 +9,6 @@ fits are recorded as failures, never replaced by substitute forecasts.
 
 from __future__ import annotations
 
-import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,10 +269,14 @@ def _eval_unit(unit: tuple[int, int]) -> list[CellRecord]:
 
 def data_fingerprint(panel: TimeSeriesPanel) -> str:
     """Stable content hash of a panel (values, shape, labels)."""
+    import hashlib  # loads OpenSSL, which a fit does not need
+
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(panel.values).tobytes())
     h.update(repr(panel.values.shape).encode())
-    h.update(",".join(panel.labels).encode())
+    # Escaped so that ("a,b", "c") and ("a", "b,c") hash apart.
+    labels = (label.replace("\\", "\\\\").replace(",", "\\,") for label in panel.labels)
+    h.update(",".join(labels).encode())
     return h.hexdigest()
 
 
@@ -310,6 +312,10 @@ def run_grid(
         if n_workers == 1:
             done = [_grid_unit(panel, origins, config, unit) for unit in queue]
         else:
+            # The pool stack (multiprocessing, socket, subprocess) loads here,
+            # so a serial process never imports it.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(
                 max_workers=n_workers,
                 initializer=_init_worker,

@@ -95,23 +95,6 @@ class VecmModel:
         return self.alpha @ self.beta.T
 
 
-def _qr_factor(r: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factor (Q, T) of a residual block ``r``.
-
-    T' T is r' r, so t_ii^2 is the part of column i's sum of squares that
-    the columns before it leave unexplained. A zero column, or a t_ii^2
-    below 1/`CONDITION_LIMIT` of its column's sum of squares, marks a
-    series that is a linear combination of the others up to rounding, so
-    the moment matrix ``name`` is rejected as singular, whatever the scale
-    of each series.
-    """
-    q, t = np.linalg.qr(r)
-    ss = (r * r).sum(axis=0)
-    if not np.all((ss > 0.0) & (np.diag(t) ** 2 * CONDITION_LIMIT >= ss)):
-        raise SingularMomentError(f"product-moment matrix {name} is singular")
-    return q, t
-
-
 def _johansen_eigen(
     r0: np.ndarray, r1: np.ndarray, eff: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,18 +104,30 @@ def _johansen_eigen(
     singular values of Q0' Q1 = U diag(sigma) V' (the squared canonical
     correlations of r0 and r1) and the eigenvectors are sqrt(eff) T1^-1 V,
     so that v' S11 v = I. Returns the eigenvalues sorted descending
-    (clipped into [0, 1)) and the eigenvector columns. A singular S00 or
-    S11, also up to rounding (see `_qr_factor`), and an SVD that does not
-    converge raise `SingularMomentError`.
+    (clipped into [0, 1)) and the eigenvector columns.
+
+    T' T is r' r, so t_ii^2 is the part of column i's sum of squares that
+    the columns before it leave unexplained. A zero column, or a t_ii^2
+    below 1/`CONDITION_LIMIT` of its column's sum of squares, marks a
+    series that is a linear combination of the others up to rounding, so
+    S11 (checked first) or S00 is rejected as singular, whatever the scale
+    of each series. That and an SVD that does not converge raise
+    `SingularMomentError`.
     """
-    q1, t1 = _qr_factor(r1, "S11")
-    q0, _ = _qr_factor(r0, "S00")
+    pair = np.stack((r1, r0))
+    (q1, q0), t = np.linalg.qr(pair)
+    ss = (pair * pair).sum(axis=1)
+    t_diag = np.diagonal(t, axis1=1, axis2=2)
+    ok = np.all((ss > 0.0) & (t_diag**2 * CONDITION_LIMIT >= ss), axis=1)
+    if not ok.all():
+        name = "S11" if not ok[0] else "S00"
+        raise SingularMomentError(f"product-moment matrix {name} is singular")
     try:
         _, sigma, vt = np.linalg.svd(q0.T @ q1)
     except np.linalg.LinAlgError:
         raise SingularMomentError("reduced-rank eigenproblem did not converge") from None
     lam = np.clip(sigma**2, 0.0, np.nextafter(1.0, 0.0))
-    return lam, np.sqrt(eff) * np.linalg.solve(t1, vt.T)
+    return lam, np.sqrt(eff) * np.linalg.solve(t[0], vt.T)
 
 
 @functools.lru_cache(maxsize=1)

@@ -20,6 +20,7 @@ from windvecm import (
     forecast_var,
     forecast_vecm,
     generate,
+    load_panel,
     mae,
     mse,
     per_origin_loss,
@@ -30,6 +31,7 @@ from windvecm import (
     sample_origins,
     summarize_best,
 )
+from windvecm.backtest import data_fingerprint
 from windvecm.cli import _summary_csv_lines, _summary_table
 from windvecm.panel import MAX_ABS_VALUE
 
@@ -248,6 +250,19 @@ def test_grid_deterministic_and_shared_origins():
         assert (ra.T, ra.p, ra.r) == (rb.T, rb.p, rb.r)
         assert ra.mae == rb.mae and ra.mse == rb.mse
     assert a.metadata["data_fingerprint"] == b.metadata["data_fingerprint"]
+
+
+def test_fingerprint_tells_comma_labels_apart(tmp_path):
+    # Semicolon-delimited headers carry labels with commas in them.
+    rows = ["2020-01-01T00:00;1;2", "2020-01-01T00:15;3;4"]
+    panels = []
+    for header in ("timestamp;a,b;c", "timestamp;a;b,c"):
+        path = tmp_path / f"{len(panels)}.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        panels.append(load_panel(path)[0])
+    assert [p.labels for p in panels] == [("a,b", "c"), ("a", "b,c")]
+    assert np.array_equal(panels[0].values, panels[1].values)
+    assert data_fingerprint(panels[0]) != data_fingerprint(panels[1])
 
 
 def _partly_constant_panel() -> TimeSeriesPanel:

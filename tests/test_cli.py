@@ -1,3 +1,4 @@
+import concurrent.futures
 import re
 import warnings
 from pathlib import Path
@@ -151,7 +152,7 @@ def test_backtest_rejects_fewer_than_one_worker(tmp_path, sim_spec_file, capsys,
     def no_work(*args, **kwargs):
         raise AssertionError("no grid unit or pool may start")
 
-    monkeypatch.setattr(backtest, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(backtest, "_grid_unit", no_work)
     code = main(["backtest", "--sim", str(sim_spec_file), "--window", "96",
                  "--p", "1", "--origins", "3", "--workers", workers,
@@ -490,7 +491,7 @@ def _forbid_fits(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("no fit or pool may start")
 
-    monkeypatch.setattr(backtest, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(backtest, "fit_vecm", no_work)
 
 
