@@ -24,7 +24,7 @@ from .backtest import (
     sample_origins,
     summarize_best,
 )
-from .errors import DegenerateVarianceError, InvalidInputError, WindVecmError
+from .errors import DegenerateVarianceError, InvalidInputError, SchemaError, WindVecmError
 from .ingest import load_panel
 from .metrics import dm_test
 from .model_io import write_model
@@ -55,7 +55,7 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
     source.add_argument("--sim", metavar="SPEC.json",
                         help="simulation spec (JSON) to generate data from")
     parser.add_argument("--expected-regions", type=int, default=None,
-                        help="fail unless the data has exactly this many regions")
+                        help="fail unless the panel has exactly this many regions")
     parser.add_argument("--max-gap", type=int, default=8,
                         help="longest gap (in grid slots) filled by interpolation")
     parser.add_argument("--det", choices=["none", "constant"], default="constant",
@@ -76,17 +76,17 @@ def _add_study_args(parser: argparse.ArgumentParser) -> None:
 
 def _load_source(args) -> TimeSeriesPanel:
     if args.sim is not None:
-        spec = spec_from_json(Path(args.sim).read_text(encoding="utf-8"))
-        return generate(spec)
-    panel, report = load_panel(
-        args.data, max_gap_slots=args.max_gap, expected_regions=args.expected_regions
-    )
-    print(
-        f"loaded {panel.n_obs} x {panel.d} panel "
-        f"({', '.join(report.regions_found)}); "
-        f"gaps filled {report.gaps_filled}, duplicates {report.duplicates_resolved}, "
-        f"rows dropped {report.rows_dropped}"
-    )
+        panel = generate(spec_from_json(Path(args.sim).read_text(encoding="utf-8")))
+    else:
+        panel, report = load_panel(args.data, max_gap_slots=args.max_gap)
+        print(
+            f"loaded {panel.n_obs} x {panel.d} panel "
+            f"({', '.join(report.regions_found)}); "
+            f"gaps filled {report.gaps_filled}, duplicates {report.duplicates_resolved}, "
+            f"rows dropped {report.rows_dropped}"
+        )
+    if args.expected_regions is not None and panel.d != args.expected_regions:
+        raise SchemaError(f"expected {args.expected_regions} regions, found {panel.d}")
     return panel
 
 

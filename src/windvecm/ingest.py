@@ -10,9 +10,10 @@ with or without a zone offset; offsets are normalized to UTC and naive
 timestamps are taken as already UTC. The grid step is fixed at 15 minutes:
 a timestamp that, in UTC, does not fall on :00, :15, :30 or :45 raises
 ``ParseError`` with its line number, as does a value beyond
-``MAX_ABS_VALUE`` in magnitude, and a region whose values are all
-missing raises ``SchemaError``. Duplicate (timestamp, region) readings
-(clock-change exports) are averaged; interior gaps of at most
+``MAX_ABS_VALUE`` in magnitude or a region named twice in one wide header,
+and a region whose values are all missing raises ``SchemaError``. Duplicate
+(timestamp, region) readings (clock-change exports, or one region in
+several files) are averaged; interior gaps of at most
 ``max_gap_slots`` grid steps are filled linearly; anything longer leaves the
 rows incomplete and the longest contiguous run of complete rows is returned,
 so the output always satisfies the uniform-grid/no-missing panel contract.
@@ -99,8 +100,11 @@ def _read_file(path: Path, stamps: list, labels: list, values: list) -> int:
             regions = None
         elif lowered and lowered[0] == "timestamp" and len(header) >= 2:
             regions = header[1:]
-            if any(not r for r in regions):
-                raise ParseError("empty region label in header", line=1)
+            for i, region in enumerate(regions):
+                if not region:
+                    raise ParseError("empty region label in header", line=1)
+                if region in regions[:i]:
+                    raise ParseError(f"region {region!r} repeats in header", line=1)
         else:
             raise ParseError(
                 "unknown header; expected 'timestamp,region,value' or "
@@ -137,17 +141,13 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
-def load_panel(
-    paths, *, max_gap_slots: int = 8, expected_regions: int | None = None
-) -> tuple[TimeSeriesPanel, IngestReport]:
+def load_panel(paths, *, max_gap_slots: int = 8) -> tuple[TimeSeriesPanel, IngestReport]:
     """Ingest one or more delimited files into a clean panel plus a report.
 
     Region columns come out in sorted label order; the grid runs from the
     first to the last instant covered by every region. Interior gaps of at
     most ``max_gap_slots`` grid steps (default 8, two hours; a negative
-    value raises `InvalidInputError`) are filled; ``expected_regions``, when
-    given, is the exact number of regions the input must hold, else
-    ``SchemaError``.
+    value raises `InvalidInputError`) are filled.
     """
     if max_gap_slots < 0:
         raise InvalidInputError(f"max_gap_slots must be >= 0, got {max_gap_slots}")
@@ -163,8 +163,6 @@ def load_panel(
         raise SchemaError("no regions found in input")
     names, column = np.unique(labels, return_inverse=True)
     regions = tuple(names.tolist())
-    if expected_regions is not None and len(regions) != expected_regions:
-        raise SchemaError(f"expected {expected_regions} regions, found {len(regions)}")
 
     # one cell per distinct (region, timestamp); its value is its readings
     # summed in file order and divided by their count

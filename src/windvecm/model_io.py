@@ -122,12 +122,14 @@ class _Reader:
         return [self.number(t, f"{what} value") for t in tokens]
 
     def matrix(self, name: str, rows: int, cols: int) -> np.ndarray:
-        """A ``rows`` x ``cols`` section; other sizes fail at the header line."""
+        """A ``rows`` x ``cols`` section; other sizes fail at the header line.
+
+        The array is built from the rows read, so a header's sizes allocate
+        nothing before its rows are there.
+        """
         self.header(["matrix", name], [rows, cols])
-        out = np.zeros((rows, cols))
-        for i in range(rows):
-            out[i] = self.row(f"matrix {name} row {i}", cols)
-        return out
+        read = [self.row(f"matrix {name} row {i}", cols) for i in range(rows)]
+        return np.array(read).reshape(rows, cols)
 
 
 def read_model(path) -> VarModel | VecmModel:

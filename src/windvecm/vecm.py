@@ -139,8 +139,10 @@ def _design_r(
     Every rank fitted on one window and order solves on this factor, so the
     last one is kept. The key is the window object itself (a panel hashes
     by identity, and its values are read-only), held until the next miss
-    replaces it. A call that raises, such as `InsufficientDataError` on a
-    short window, is not kept.
+    replaces it or `cache_clear` drops it; a grid unit clears it when it
+    returns, since a window that is a view keeps its whole panel's values
+    alive. A call that raises, such as `InsufficientDataError` on a short
+    window, is not kept.
     """
     a = build_design(panel, p, det, levels=False)
     qr_r = np.linalg.qr(a, mode="r")

@@ -1,5 +1,5 @@
-"""Shared test utilities: random stable VARs, direct path simulation and a
-wind-like clipped panel.
+"""Shared test utilities: random stable VARs, direct path simulation, a
+wind-like clipped panel and the package's source directory.
 
 The VAR simulators here are deliberately independent of windvecm.simulate so
 they can serve as oracles for it.
@@ -7,8 +7,11 @@ they can serve as oracles for it.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
+import windvecm
 from windvecm import (
     DeterministicSpec,
     DgpSpec,
@@ -17,6 +20,9 @@ from windvecm import (
     companion_matrix,
     generate,
 )
+
+#: The directory the package is imported from, for a test's subprocesses.
+SRC = str(Path(windvecm.__file__).resolve().parents[1])
 
 
 def stable_var_coeffs(

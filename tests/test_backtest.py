@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -276,7 +278,9 @@ def _partly_constant_panel() -> TimeSeriesPanel:
 def test_grid_parallel_matches_serial():
     # The second input exercises the whole config in the pool: no constant,
     # clipped paths, and failing origins. The third, a wind-like panel
-    # floored at 0, fails fits with both singular classes.
+    # floored at 0, fails fits with both singular classes. In the fourth, one
+    # reading at the value bound: p = 1 cells score with a residual
+    # covariance near 1e197 and p = 2 cells fail.
     cases = [
         (generate(cointegrated_spec(d=2, r_true=1, n_obs=400, seed=1)),
          BacktestConfig(T_grid=(96,), p_grid=(1, 2), r_grid=(0, 1, 2),
@@ -288,6 +292,8 @@ def test_grid_parallel_matches_serial():
         (clipped_panel(cointegrated_spec(d=3, r_true=1, n_obs=3000, seed=11), 0.25),
          BacktestConfig(T_grid=(96, 192), p_grid=(1, 2), horizon=4, n_origins=20,
                         seed=3, det=CONST)),
+        (_corrupted_reading_panel(),
+         BacktestConfig(T_grid=(96,), p_grid=(1, 2), horizon=4, n_origins=40)),
     ]
     failed = []   # the failure classes of each input
     for panel, config in cases:
@@ -302,6 +308,7 @@ def test_grid_parallel_matches_serial():
         failed.append({name for rec in serial.records for _, name in rec.failures})
     assert failed[1]
     assert {"SingularDesignError", "SingularMomentError"} <= failed[2]
+    assert failed[3] == {"SingularDesignError"}
 
 
 @pytest.mark.parametrize("case", ["clipped", "corrupted-reading", "minimal-T"])
@@ -341,16 +348,29 @@ def test_grid_cells_match_cells_run_alone(case):
             assert rec.mae is None and rec.mse is None
         if (rec.T, rec.p, rec.r) in refused:
             assert [name for _, name in rec.failures] == [refused[rec.T, rec.p, rec.r]] * 10
+    # A subset of the ranks, in descending order, serially and in the pool.
     full = {(rec.T, rec.p, rec.r): rec for rec in result.records}
-    subset = run_grid(panel, dataclasses.replace(config, r_grid=(3, 1)))
-    assert [rec.r for rec in subset.records[:2]] == [3, 1]
-    for rec in subset.records:
-        want = full[rec.T, rec.p, rec.r]
-        assert rec.mae == want.mae and rec.mse == want.mse
-        assert np.array_equal(rec.origins_ok, want.origins_ok)
-        assert np.array_equal(rec.per_origin_abs, want.per_origin_abs)
-        assert np.array_equal(rec.per_origin_sq, want.per_origin_sq)
-        assert rec.failures == want.failures
+    for workers in (1, 2):
+        subset = run_grid(panel, dataclasses.replace(config, r_grid=(3, 1)), workers=workers)
+        assert [rec.r for rec in subset.records[:2]] == [3, 1]
+        for rec in subset.records:
+            want = full[rec.T, rec.p, rec.r]
+            assert rec.mae == want.mae and rec.mse == want.mse
+            assert np.array_equal(rec.origins_ok, want.origins_ok)
+            assert np.array_equal(rec.per_origin_abs, want.per_origin_abs)
+            assert np.array_equal(rec.per_origin_sq, want.per_origin_sq)
+            assert rec.failures == want.failures
+
+
+def test_finished_grid_keeps_no_reference_to_its_panel():
+    # Every fitted window is a view of the panel's values; none may outlive
+    # the grid and keep them alive.
+    panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=400, seed=2))
+    values = weakref.ref(panel.values)
+    run_grid(panel, BacktestConfig(T_grid=(96,), p_grid=(1, 2), horizon=4, n_origins=3))
+    del panel
+    gc.collect()
+    assert values() is None
 
 
 def test_per_origin_losses_account_for_failures():

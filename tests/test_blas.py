@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import SRC
+
 import windvecm
 from windvecm import _blas, cointegrated_spec, fit_var, fit_vecm, generate
 from windvecm import backtest
@@ -23,9 +25,6 @@ needs_forked_workers = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork" or not Path("/proc/self/status").exists(),
     reason="pool workers are not forked, or /proc is missing",
 )
-
-SRC = str(Path(windvecm.__file__).resolve().parents[1])
-
 
 def run_python(code: str, **env) -> str:
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))

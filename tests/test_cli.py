@@ -1,17 +1,22 @@
 import concurrent.futures
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import clipped_panel
+from helpers import SRC, clipped_panel
 
 from windvecm import (
+    _blas,
     cointegrated_spec,
     generate,
     read_model,
+    save_wide,
     spec_from_json,
     spec_to_json,
     vecm_to_var,
@@ -86,6 +91,51 @@ def test_backtest_outputs_and_determinism(tmp_path, sim_spec_file):
     assert "T/96 (=length in days)" in table
     assert "Best p" in table and "Best r" in table
     assert "Improvement to best VAR" in table
+
+
+_FORKSERVER_MAIN = (
+    "import multiprocessing as mp, sys; mp.set_start_method('forkserver'); "
+    "from windvecm.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+#: Ways to run a backtest as a fresh process: the interpreter's arguments up
+#: to the command's own flags, and the environment variables set.
+_BACKTEST_WAYS = {
+    "serial": (["-m", "windvecm.cli", "backtest"], {}),
+    "workers-2": (["-m", "windvecm.cli", "backtest", "--workers", "2"], {}),
+    "workers-2-blas-2": (["-m", "windvecm.cli", "backtest", "--workers", "2"],
+                         {"OPENBLAS_NUM_THREADS": "2"}),
+    "workers-2-forkserver": (["-c", _FORKSERVER_MAIN, "backtest", "--workers", "2"], {}),
+}
+
+
+@pytest.mark.parametrize("source", ["spec", "clipped"])
+def test_backtest_writes_the_same_files_every_way_it_runs(tmp_path, sim_spec_file, source):
+    # The entry point under PYTHONWARNINGS=error, serially, in a pool of
+    # forked workers, the same with two OpenBLAS threads in the environment,
+    # and in a pool started by forkserver. On the clipped panel, fits fail
+    # with both singular classes.
+    if source == "spec":
+        flags = ["--sim", str(sim_spec_file), "--window", "96", "--p", "1,2", "--origins", "3"]
+    else:
+        data = tmp_path / "clipped.csv"
+        save_wide(clipped_panel(cointegrated_spec(d=3, r_true=1, n_obs=3000, seed=11), 0.25),
+                  data)
+        flags = ["--data", str(data), "--window", "96,192", "--p", "1,2", "--horizon", "4",
+                 "--origins", "20", "--seed", "3"]
+    env = {k: v for k, v in os.environ.items() if k not in _blas._ENV_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"
+    written = {}
+    for way, (argv, extra) in _BACKTEST_WAYS.items():
+        out = tmp_path / way
+        proc = subprocess.run([sys.executable, *argv, *flags, "--out", str(out)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**env, **extra})
+        assert proc.returncode == 0 and proc.stderr == "", (way, proc.stderr)
+        written[way] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(written["serial"]) == 8
+    for way, files in written.items():
+        assert files == written["serial"], way
 
 
 def test_backtest_persistence_only_grid(tmp_path, sim_spec_file):
@@ -176,6 +226,22 @@ def test_fit_rejects_negative_max_gap(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 1
     assert "InvalidInputError: max_gap_slots must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, found", [("data", 1), ("sim", 3)])
+def test_expected_region_count_holds_for_either_source(tmp_path, sim_spec_file, capsys,
+                                                       source, found):
+    if source == "data":
+        data = tmp_path / "one.csv"
+        data.write_text("timestamp,region,value\n2020-01-01T00:00,a,1\n")
+        flags = ["--data", str(data)]
+    else:
+        flags = ["--sim", str(sim_spec_file)]
+    out = tmp_path / "m.txt"
+    code = main(["fit", *flags, "--expected-regions", "6", "--p", "1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"windvecm: SchemaError: expected 6 regions, found {found}\n"
     assert not out.exists()
 
 
@@ -341,6 +407,11 @@ def test_combine_output_is_pinned(tmp_path, sim_spec_file, capsys, flags, report
         assert [float(v) for v in values] == pytest.approx(
             [float(v) for v in want_values], rel=1e-12
         )
+    # On one machine a rerun writes the same bytes.
+    rerun = tmp_path / "rerun"
+    assert main(["combine", "--sim", str(sim_spec_file), *flags, "--out", str(rerun)]) == 0
+    for name in ("combine.txt", "combine.csv"):
+        assert (rerun / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_corrupted_reading_exits_1_before_writing(tmp_path, capsys):
@@ -521,8 +592,9 @@ def test_os_and_decoding_errors_exit_1_with_one_line(tmp_path, sim_spec_file, ca
     else:
         argv = ["fit", "--data", str(data), "--p", "1", "--out", str(tmp_path / "m.txt")]
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    stdout, err = capsys.readouterr()
     assert err.startswith(f"windvecm: {error}: ") and err.count("\n") == 1
+    assert stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -163,6 +165,18 @@ def test_multiple_files_merge(tmp_path):
     assert report.rows_read == 4
 
 
+def test_region_in_two_wide_files_is_averaged(tmp_path):
+    # Unlike a region named twice in one header, which is refused, one region
+    # in two files (overlapping exports) is one series, averaged where both
+    # files read it.
+    a = write(tmp_path, "a.csv", "timestamp,a,b\n2020-01-01T00:00,1,5\n2020-01-01T00:15,2,6\n")
+    b = write(tmp_path, "b.csv", "timestamp,a\n2020-01-01T00:00,3\n")
+    panel, report = load_panel([a, b])
+    assert panel.labels == ("a", "b")
+    assert np.array_equal(panel.values, [[2.0, 5.0], [2.0, 6.0]])
+    assert report.duplicates_resolved == 1
+
+
 def test_ingestion_is_deterministic(tmp_path):
     path = write(tmp_path, "d.csv", "\n".join([
         "timestamp,region,value",
@@ -175,13 +189,6 @@ def test_ingestion_is_deterministic(tmp_path):
     assert np.array_equal(p1.values, p2.values)
     assert r1 == r2
     assert r1.gaps_filled == 1
-
-
-def test_expected_region_schema_error(tmp_path):
-    path = write(tmp_path, "s.csv",
-                 "timestamp,region,value\n2020-01-01T00:00,a,1\n")
-    with pytest.raises(SchemaError):
-        load_panel([path], expected_regions=6)
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -369,6 +376,9 @@ def test_long_wide_and_shuffled_exports_ingest_alike(readings, data):
     [
         ([], "empty file", 1),
         (["timestamp,a,,b", "2020-01-01T00:00,1,2,3"], "empty region label in header", 1),
+        # one region, two columns: not averaged into one series
+        (["timestamp,a,a", "2020-01-01T00:00,1,2", "2020-01-01T00:15,3,4"],
+         "region 'a' repeats in header", 1),
         (["timestamp,region,value", "2020-01-01T00:00,a,1", "2020-01-01T00:15, ,2"],
          "empty region label", 3),
         (["timestamp,a,b", "2020-01-01T00:00,1,2", "2020-01-01T00:15,3"],
@@ -379,8 +389,8 @@ def test_long_wide_and_shuffled_exports_ingest_alike(readings, data):
         (["timestamp,region,value", "2020-01-01T00:00,a,1", "2020-01-01T00:15,a,one"],
          "unparseable value 'one'", 3),
     ],
-    ids=["empty-file", "empty-header-label", "empty-row-label", "ragged-row",
-         "ragged-row-after-blank-rows", "unparseable-value"],
+    ids=["empty-file", "empty-header-label", "repeated-header-label", "empty-row-label",
+         "ragged-row", "ragged-row-after-blank-rows", "unparseable-value"],
 )
 def test_malformed_file_is_a_parse_error_at_its_line(tmp_path, lines, message, bad_line):
     path = write(tmp_path, "bad.csv", "\n".join(lines))

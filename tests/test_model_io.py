@@ -134,6 +134,20 @@ def test_read_rejects_malformed_line_with_its_number(tmp_path, kind, prefix, off
     assert info.value.line == line_no
 
 
+def test_section_is_refused_at_its_short_row_before_any_allocation(tmp_path):
+    # The header claims a 100000 x 100000 section (74.5 GiB) and one short
+    # row follows: the file is refused at that row, and no array of the
+    # claimed size is made first.
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join([
+        "windvecm-model 1", "kind var", "det none", "d 100000", "p 1",
+        "matrix phi1 100000 100000", "1 2 3",
+    ]) + "\n")
+    with pytest.raises(ParseError, match="row 0 has 3 values, expected 100000") as info:
+        read_model(path)
+    assert info.value.line == 7
+
+
 _PHI3 = ["matrix phi3 3 3", "1 0 0", "0 1 0", "0 0 1"]
 
 
