@@ -92,6 +92,8 @@ def sample_origins(
     """
     if n_origins < 1:
         raise InvalidInputError("need at least one origin")
+    if seed < 0:
+        raise InvalidInputError(f"origin seed must be >= 0, got {seed}")
     feasible = n_obs - horizon - t_max
     if feasible < 1:
         raise InsufficientRangeError(

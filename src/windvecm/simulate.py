@@ -3,9 +3,9 @@
 A spec fixes the error-correction dynamics (loadings, cointegrating vectors,
 short-run matrices) plus Gaussian noise, and is validated at construction:
 the implied companion matrix must have no explosive roots and exactly
-d - r_true unit roots. Generation simulates the difference equation forward
-with a burn-in so the returned panel is free of initial-condition
-transients.
+d - r_true unit roots. Generation steps the spec's exact levels-VAR form
+forward with the recursion that forecasting uses, after a burn-in so the
+returned panel is free of initial-condition transients.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
 from .panel import MAX_ABS_VALUE, DeterministicSpec, TimeSeriesPanel
-from .var import companion_matrix
+from .var import _recurse, companion_matrix
 from .vecm import VecmModel, vecm_to_var
 
 #: Steps simulated and discarded before collecting observations.
@@ -40,12 +40,12 @@ class DgpSpec:
 
     dY_t = alpha beta' Y_{t-1} + sum_k gamma[k] dY_{t-k} + eps_t with
     eps_t ~ N(0, noise_cov). ``alpha`` and ``beta`` are d x r_true, and d,
-    r_true and p_true are read off the arrays. Construction validates the
-    spectral condition: no root of the implied companion matrix outside the
-    unit circle and exactly d - r_true unit roots. ``root_moduli`` keeps
-    those companion root moduli, sorted descending. The spec keeps
-    read-only copies of its arrays, so the condition holds for as long as
-    the spec exists.
+    r_true and p_true are read off the arrays; ``phi`` holds the levels form
+    phi_1 .. phi_{p_true} (`vecm_to_var`). Construction validates the
+    spectral condition: no root of its companion matrix outside the unit
+    circle and exactly d - r_true unit roots. ``root_moduli`` keeps those
+    root moduli, sorted descending. The spec keeps read-only copies of its
+    arrays, so the condition holds for as long as the spec exists.
     """
 
     alpha: np.ndarray
@@ -58,6 +58,7 @@ class DgpSpec:
     d: int = field(init=False)
     r_true: int = field(init=False)
     p_true: int = field(init=False)
+    phi: tuple[np.ndarray, ...] = field(init=False)
     root_moduli: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -103,7 +104,11 @@ class DgpSpec:
             alpha=alpha, beta=beta, gamma=gamma, psi=np.zeros((d, 0)),
             det=DeterministicSpec.NONE, eigenvalues=None, resid_cov=cov,
         )
-        eigvals = np.linalg.eigvals(companion_matrix(vecm_to_var(implied).phi))
+        phi = vecm_to_var(implied).phi
+        for m in phi:
+            m.setflags(write=False)
+        object.__setattr__(self, "phi", phi)
+        eigvals = np.linalg.eigvals(companion_matrix(phi))
         moduli = np.sort(np.abs(eigvals))[::-1]
         moduli.setflags(write=False)
         object.__setattr__(self, "root_moduli", moduli)
@@ -132,32 +137,15 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
 def generate(spec: DgpSpec) -> TimeSeriesPanel:
     """Simulate the spec forward; reproducible from ``spec.seed``.
 
-    Discards a burn-in of 200 steps, then returns n_obs rows on a synthetic
-    quarter-hourly clock. The spec was validated when it was built; a
-    path that leaves `MAX_ABS_VALUE` in magnitude (a noise_cov or initial
-    state too large) raises `InvalidSpecError`.
+    Steps ``spec.phi`` with `forecast_var`'s recursion from rest at
+    ``spec.initial``, discards a burn-in of 200 steps and returns n_obs rows
+    on a synthetic quarter-hourly clock. A path that leaves `MAX_ABS_VALUE`
+    in magnitude (noise_cov or initial too large) raises `InvalidSpecError`.
     """
-    d = spec.d
     rng = np.random.default_rng(spec.seed)
     factor = _psd_factor(spec.noise_cov)
-    total = BURN_IN + spec.n_obs
-    eps = rng.standard_normal((total, d)) @ factor.T
-
-    pi = spec.alpha @ spec.beta.T
-    y = spec.initial.copy()
-    diffs = [np.zeros(d) for _ in range(spec.p_true - 1)]  # diffs[k-1] = dY_{t-k}
-    out = np.empty((total, d))
-    # A path past float range is caught by the bound check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(total):
-            dy = pi @ y + eps[t]
-            for k, g in enumerate(spec.gamma):
-                dy += g @ diffs[k]
-            y = y + dy
-            if diffs:
-                diffs = [dy] + diffs[:-1]
-            out[t] = y
-    kept = out[BURN_IN:]
+    eps = rng.standard_normal((BURN_IN + spec.n_obs, spec.d)) @ factor.T
+    kept = _recurse(spec.phi, spec.initial, eps)[BURN_IN:]
     if not (np.abs(kept) <= MAX_ABS_VALUE).all():  # also false for NaN
         raise InvalidSpecError(
             f"simulated path exceeds the value bound {MAX_ABS_VALUE:g} in magnitude; "

@@ -83,6 +83,23 @@ def companion_matrix(phi: tuple[np.ndarray, ...] | list[np.ndarray]) -> np.ndarr
     return comp
 
 
+def _recurse(phi: tuple[np.ndarray, ...], start, add: np.ndarray) -> np.ndarray:
+    """The len(add) x d rows Y_t = [phi_p | ... | phi_1] [Y_{t-p}; ...; Y_{t-1}] + add[t].
+
+    ``start`` broadcasts to the p rows before the first step, oldest first.
+    An explosive recursion overflows to inf or NaN without a warning;
+    callers bound-check the rows they keep.
+    """
+    p = len(phi)
+    path = np.empty((p + len(add), phi[0].shape[0]))
+    path[:p] = start
+    coef = np.hstack(phi[::-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(len(add)):
+            np.add(coef @ path[h : h + p].ravel(), add[h], out=path[p + h])
+    return path[p:]
+
+
 @one_blas_thread()
 def fit_var(
     panel: TimeSeriesPanel,
@@ -126,19 +143,8 @@ def forecast_var(
         raise InsufficientHistoryError(
             f"need at least p={model.p} rows of history, have {history.n_obs}"
         )
-    d, p = model.d, model.p
-    # Rows p.. of ``path`` are the forecasts; rows h .. h+p-1, raveled, are
-    # the state [Y_{t-p} | ... | Y_{t-1}] of step h, oldest lag first, which
-    # the stacked d x dp coefficients [phi_p | ... | phi_1] advance.
-    path = np.empty((p + horizon, d))
-    path[:p] = history.values[-p:]
-    coef = np.hstack(model.phi[::-1])
-    const = model.psi.sum(axis=1)  # zeros without deterministic terms
-    # An explosive model overflows here; that is reported just below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for h in range(horizon):
-            np.add(coef @ path[h : h + p].ravel(), const, out=path[p + h])
-    out = path[p:]
+    const = np.broadcast_to(model.psi.sum(axis=1), (horizon, model.d))  # 0 without det terms
+    out = _recurse(model.phi, history.values[-model.p :], const)
     if not (np.abs(out) <= MAX_ABS_VALUE).all():  # also false for NaN
         raise NonFiniteForecastError(f"forecast is NaN or beyond {MAX_ABS_VALUE:g} in magnitude")
     origin = history.n_obs - 1 if origin_index is None else origin_index

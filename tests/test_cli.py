@@ -617,9 +617,14 @@ def test_os_and_decoding_errors_exit_1_with_one_line(tmp_path, sim_spec_file, ca
                      "--origins", "3"], "model (p=0, r=1) needs p >= 1 and 0 <= r <= d=3"),
         ("combine", ["--model-a", "7,2", "--model-b", "1,-1", "--window", "96",
                      "--origins", "3"], "model (p=1, r=-1) needs p >= 1 and 0 <= r <= d=3"),
+        ("backtest", ["--window", "96", "--p", "1", "--origins", "3", "--seed", "-1"],
+         "origin seed must be >= 0, got -1"),
+        ("combine", ["--model-a", "1,0", "--model-b", "2,1", "--window", "96",
+                     "--origins", "3", "--seed", "-1"], "origin seed must be >= 0, got -1"),
     ],
     ids=["repeated-T", "repeated-p", "repeated-r", "rank-above-d", "combine-no-origins",
-         "combine-rank-above-d", "combine-order-0", "combine-negative-rank"],
+         "combine-rank-above-d", "combine-order-0", "combine-negative-rank",
+         "negative-seed", "combine-negative-seed"],
 )
 def test_bad_study_input_exits_1_before_any_fit(tmp_path, sim_spec_file, capsys,
                                                 monkeypatch, command, flags, message):

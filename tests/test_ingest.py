@@ -1,14 +1,5 @@
-import dataclasses
-import tempfile
-from datetime import datetime, timedelta
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from windvecm import (
     InvalidInputError,
@@ -291,84 +282,6 @@ def test_offset_that_lands_on_the_quarter_hour_in_utc_is_accepted(tmp_path):
     panel, _ = load_panel([path])
     assert str(panel.timestamps[0]) == "2020-01-01T00:00:00"
     assert np.array_equal(panel.values.ravel(), [1.0, 2.0])
-
-
-_T0 = datetime(2020, 3, 29)
-_ZONES = (
-    lambda t: t.isoformat(),
-    lambda t: t.isoformat() + "Z",
-    lambda t: (t + timedelta(hours=1)).isoformat() + "+01:00",
-)
-
-
-@st.composite
-def _readings(draw):
-    """Labels and rows (instant, one value or NaN per region) of a small
-    panel with short interior gaps, dropped instants and duplicated rows."""
-    labels = draw(st.lists(st.sampled_from(["de", "dk", "nl", "be"]),
-                           min_size=1, max_size=3, unique=True))
-    n = draw(st.integers(3, 12))
-    value = st.floats(-1e4, 1e4, allow_nan=False, allow_subnormal=False)
-    values = np.array(draw(st.lists(
-        st.lists(value, min_size=len(labels), max_size=len(labels)),
-        min_size=n, max_size=n,
-    )))
-    interior = st.integers(1, n - 2)
-    for _ in range(draw(st.integers(0, 3))):
-        i, j, length = draw(interior), draw(st.integers(0, len(labels) - 1)), draw(st.integers(1, 2))
-        values[i : min(i + length, n - 1), j] = np.nan
-    dropped = draw(st.sets(interior, max_size=2))
-    rows = []
-    for i in range(n):
-        if i in dropped:
-            continue
-        stamp = _T0 + timedelta(minutes=15 * i)
-        rows.append((stamp, values[i]))
-        if draw(st.booleans()) and draw(st.booleans()):
-            rows.append((stamp, np.array(draw(st.lists(
-                value | st.just(np.nan), min_size=len(labels), max_size=len(labels))))))
-    return labels, rows
-
-
-def _token(v):
-    return "NA" if np.isnan(v) else f"{v:.17g}"
-
-
-def _load_text(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "readings.csv"
-        path.write_text(text, encoding="utf-8")
-        return load_panel([path])
-
-
-def _same(a, b):
-    (pa, ra), (pb, rb) = a, b
-    assert pa.labels == pb.labels
-    assert pa.values.tobytes() == pb.values.tobytes()
-    assert pa.timestamps.tobytes() == pb.timestamps.tobytes()
-    assert dataclasses.replace(ra, rows_read=0) == dataclasses.replace(rb, rows_read=0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_readings(), st.data())
-def test_long_wide_and_shuffled_exports_ingest_alike(readings, data):
-    labels, rows = readings
-    wide = [",".join(["timestamp", *labels])]
-    wide += [",".join([t.isoformat(), *map(_token, v)]) for t, v in rows]
-    long = [
-        f"{data.draw(st.sampled_from(_ZONES))(t)},{label},{_token(x)}"
-        for t, v in rows
-        for label, x in zip(labels, v)
-    ]
-    shuffled = data.draw(st.permutations(long))
-    from_wide = _load_text("\n".join(wide) + "\n")
-    from_long = _load_text("\n".join(["timestamp,region,value", *long]) + "\n")
-    from_shuffled = _load_text("\n".join(["timestamp,region,value", *shuffled]) + "\n")
-    _same(from_wide, from_long)
-    _same(from_long, from_shuffled)
-    # rows_read counts data lines: one per instant wide, one per reading long
-    assert from_wide[1].rows_read == len(rows)
-    assert from_long[1].rows_read == from_shuffled[1].rows_read == len(long)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,190 @@
+"""Property tests, drawn by hypothesis: ingestion of one panel exported
+in several shapes, and invariances of fit plus forecast. The module skips
+where hypothesis is not installed; every other test runs without it."""
+
+import dataclasses
+import tempfile
+from datetime import datetime, timedelta
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from windvecm import (
+    DeterministicSpec,
+    TimeSeriesPanel,
+    VecmModel,
+    cointegrated_spec,
+    fit_vecm,
+    forecast_vecm,
+    generate,
+    load_panel,
+)
+
+NONE = DeterministicSpec.NONE
+CONST = DeterministicSpec.CONSTANT
+
+
+# --------------------------------------------------------------------------
+# Ingestion of long, wide and shuffled exports
+# --------------------------------------------------------------------------
+
+_T0 = datetime(2020, 3, 29)
+_ZONES = (
+    lambda t: t.isoformat(),
+    lambda t: t.isoformat() + "Z",
+    lambda t: (t + timedelta(hours=1)).isoformat() + "+01:00",
+)
+
+
+@st.composite
+def _readings(draw):
+    """Labels and rows (instant, one value or NaN per region) of a small
+    panel with short interior gaps, dropped instants and duplicated rows."""
+    labels = draw(st.lists(st.sampled_from(["de", "dk", "nl", "be"]),
+                           min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(3, 12))
+    value = st.floats(-1e4, 1e4, allow_nan=False, allow_subnormal=False)
+    values = np.array(draw(st.lists(
+        st.lists(value, min_size=len(labels), max_size=len(labels)),
+        min_size=n, max_size=n,
+    )))
+    interior = st.integers(1, n - 2)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j, length = draw(interior), draw(st.integers(0, len(labels) - 1)), draw(st.integers(1, 2))
+        values[i : min(i + length, n - 1), j] = np.nan
+    dropped = draw(st.sets(interior, max_size=2))
+    rows = []
+    for i in range(n):
+        if i in dropped:
+            continue
+        stamp = _T0 + timedelta(minutes=15 * i)
+        rows.append((stamp, values[i]))
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append((stamp, np.array(draw(st.lists(
+                value | st.just(np.nan), min_size=len(labels), max_size=len(labels))))))
+    return labels, rows
+
+
+def _token(v):
+    return "NA" if np.isnan(v) else f"{v:.17g}"
+
+
+def _load_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "readings.csv"
+        path.write_text(text, encoding="utf-8")
+        return load_panel([path])
+
+
+def _same(a, b):
+    (pa, ra), (pb, rb) = a, b
+    assert pa.labels == pb.labels
+    assert pa.values.tobytes() == pb.values.tobytes()
+    assert pa.timestamps.tobytes() == pb.timestamps.tobytes()
+    assert dataclasses.replace(ra, rows_read=0) == dataclasses.replace(rb, rows_read=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_readings(), st.data())
+def test_long_wide_and_shuffled_exports_ingest_alike(readings, data):
+    labels, rows = readings
+    wide = [",".join(["timestamp", *labels])]
+    wide += [",".join([t.isoformat(), *map(_token, v)]) for t, v in rows]
+    long = [
+        f"{data.draw(st.sampled_from(_ZONES))(t)},{label},{_token(x)}"
+        for t, v in rows
+        for label, x in zip(labels, v)
+    ]
+    shuffled = data.draw(st.permutations(long))
+    from_wide = _load_text("\n".join(wide) + "\n")
+    from_long = _load_text("\n".join(["timestamp,region,value", *long]) + "\n")
+    from_shuffled = _load_text("\n".join(["timestamp,region,value", *shuffled]) + "\n")
+    _same(from_wide, from_long)
+    _same(from_long, from_shuffled)
+    # rows_read counts data lines: one per instant wide, one per reading long
+    assert from_wide[1].rows_read == len(rows)
+    assert from_long[1].rows_read == from_shuffled[1].rows_read == len(long)
+
+
+# --------------------------------------------------------------------------
+# Invariances of fit plus forecast
+# --------------------------------------------------------------------------
+
+@st.composite
+def fit_cases(draw):
+    """A simulated panel of d = 2..4 regions and a (p, r, det) to fit on it."""
+    d = draw(st.integers(2, 4))
+    r_true = draw(st.integers(1, d - 1))
+    seed = draw(st.integers(0, 2**16))
+    panel = generate(cointegrated_spec(d=d, r_true=r_true, n_obs=300, seed=seed))
+    p = draw(st.integers(1, 3))
+    r = draw(st.integers(0, d))
+    det = draw(st.sampled_from([NONE, CONST]))
+    return panel, p, r, det
+
+
+def fit_and_forecast(values, p, r, det, horizon=8):
+    panel = TimeSeriesPanel.from_values(values)
+    model = fit_vecm(panel, p=p, r=r, det=det)
+    return forecast_vecm(model, panel, horizon).values
+
+
+def assert_paths_close(got, want):
+    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit_cases(), st.floats(0.01, 100.0), st.sampled_from([1.0, -1.0]))
+def test_scaling_the_panel_scales_the_forecasts(case, c, sign):
+    panel, p, r, det = case
+    c *= sign
+    base = fit_and_forecast(panel.values, p, r, det)
+    assert_paths_close(fit_and_forecast(c * panel.values, p, r, det), c * base)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit_cases(), st.data())
+def test_shifting_the_panel_shifts_forecasts_of_models_with_a_constant(case, data):
+    panel, p, r, _ = case
+    shift = np.asarray(data.draw(st.lists(
+        st.floats(-50.0, 50.0), min_size=panel.d, max_size=panel.d)))
+    base = fit_and_forecast(panel.values, p, r, CONST)
+    assert_paths_close(fit_and_forecast(panel.values + shift, p, r, CONST), base + shift)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit_cases(), st.randoms(use_true_random=False))
+def test_permuting_the_regions_permutes_the_forecasts(case, rnd):
+    panel, p, r, det = case
+    perm = list(range(panel.d))
+    rnd.shuffle(perm)
+    base = fit_and_forecast(panel.values, p, r, det)
+    assert_paths_close(fit_and_forecast(panel.values[:, perm], p, r, det), base[:, perm])
+
+
+@settings(max_examples=30, deadline=None)
+@given(fit_cases(), st.integers(0, 2**16))
+def test_any_basis_of_the_cointegrating_space_forecasts_alike(case, seed):
+    # beta -> beta Q with alpha -> alpha Q^-T keeps alpha beta' for any
+    # invertible Q, and with it every forecast.
+    panel, p, r, det = case
+    r = max(r, 1)
+    model = fit_vecm(panel, p=p, r=r, det=det)
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((r, r)))[0] * rng.uniform(0.5, 2.0, size=r)
+    rotated = VecmModel(
+        alpha=model.alpha @ np.linalg.inv(q).T,
+        beta=model.beta @ q,
+        gamma=model.gamma,
+        psi=model.psi,
+        det=model.det,
+        eigenvalues=model.eigenvalues,
+        resid_cov=model.resid_cov,
+    )
+    assert_paths_close(forecast_vecm(rotated, panel, 8).values,
+                       forecast_vecm(model, panel, 8).values)

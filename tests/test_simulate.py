@@ -40,7 +40,7 @@ def test_spec_arrays_are_read_only_copies():
     )
     before = generate(spec).values
     alpha[0, 0] = 5.0  # the caller's array, not the spec's
-    for arr in (spec.alpha, spec.beta, spec.gamma[0], spec.noise_cov, spec.initial):
+    for arr in (spec.alpha, spec.beta, spec.gamma[0], spec.noise_cov, spec.initial, *spec.phi):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     assert spec.alpha[0, 0] == -0.4
@@ -50,11 +50,23 @@ def test_spec_arrays_are_read_only_copies():
 def test_generate_matches_plain_simulation_bit_for_bit():
     # Unit noise: the noise factor is the identity, so the draws enter
     # unscaled and a plain loop with the same operations must reproduce
-    # every bit of the panel.
+    # every bit of the panel. generate steps the levels form
+    # Y_t = phi_1 Y_{t-1} + phi_2 Y_{t-2} + phi_3 Y_{t-3} + eps_t.
     spec = cointegrated_spec(d=3, r_true=1, n_obs=150, seed=8, p_true=3)
     rng = np.random.default_rng(spec.seed)
     eps = rng.standard_normal((200 + spec.n_obs, 3))
     pi = spec.alpha @ spec.beta.T
+    g1, g2 = spec.gamma
+    coef = np.hstack((-g2, g2 - g1, np.eye(3) + pi + g1))  # [phi_3 | phi_2 | phi_1]
+    state, levels = [np.zeros(3)] * 3, []                 # [Y_{t-3}, Y_{t-2}, Y_{t-1}]
+    for e in eps:
+        y = coef @ np.concatenate(state) + e
+        state = state[1:] + [y]
+        levels.append(y)
+    panel = generate(spec).values
+    assert np.array_equal(panel, np.array(levels[200:]))
+
+    # The error-correction form of the same dynamics agrees to rounding.
     y, lags, rows = np.zeros(3), [np.zeros(3), np.zeros(3)], []
     for e in eps:
         dy = pi @ y + e
@@ -63,7 +75,7 @@ def test_generate_matches_plain_simulation_bit_for_bit():
         y = y + dy
         lags = [dy, lags[0]]
         rows.append(y)
-    assert np.array_equal(generate(spec).values, np.array(rows[200:]))
+    assert np.abs(panel - np.array(rows[200:])).max() <= 1e-12 * np.abs(panel).max()
 
 
 def test_zero_noise_zero_dynamics_is_constant():
@@ -146,7 +158,10 @@ def test_spec_sizes_and_root_moduli_come_from_its_arrays(d, r_true, p_true):
         alpha=spec.alpha, beta=spec.beta, gamma=spec.gamma, psi=np.zeros((d, 0)),
         det=DeterministicSpec.NONE, eigenvalues=None, resid_cov=spec.noise_cov,
     )
-    moduli = np.abs(np.linalg.eigvals(companion_matrix(vecm_to_var(model).phi)))
+    phi = vecm_to_var(model).phi
+    assert len(spec.phi) == p_true
+    assert all(np.array_equal(a, b) for a, b in zip(spec.phi, phi))
+    moduli = np.abs(np.linalg.eigvals(companion_matrix(phi)))
     assert np.array_equal(spec.root_moduli, np.sort(moduli)[::-1])
     with pytest.raises(ValueError):
         spec.root_moduli[0] = 0.0

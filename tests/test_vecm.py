@@ -1,10 +1,6 @@
 import numpy as np
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from helpers import simulate_var_panel, stable_var_model
 
 from windvecm import (
@@ -54,7 +50,7 @@ def test_known_cointegration_space_recovered():
     spec = cointegrated_spec(d=4, r_true=2, n_obs=2000, seed=9)
     panel = generate(spec)
     model = fit_vecm(panel, p=2, r=2, det=CONST)
-    from scipy.linalg import subspace_angles
+    subspace_angles = pytest.importorskip("scipy.linalg").subspace_angles
 
     angle = np.degrees(subspace_angles(model.beta, spec.beta)).max()
     assert angle < 5.0
@@ -117,7 +113,7 @@ def textbook_vecm(panel, p, r, det):
     from the panel values and joined with np.hstack, scipy's generalized
     symmetric eigensolver for beta, and a least-squares regression of dY_t
     on [z, beta' Y_{t-1}]."""
-    from scipy.linalg import eigh
+    eigh = pytest.importorskip("scipy.linalg").eigh
 
     y = panel.values
     dy, y1 = y[p:] - y[p - 1 : -1], y[p - 1 : -1]
@@ -165,7 +161,8 @@ def test_beta_normalization_is_s11_orthonormal():
 def test_eigenvalues_match_generalized_symmetric_solver():
     # Oracles for the Cholesky reduction: direct generalized solves of
     # S10 S00^-1 S01 v = lambda S11 v.
-    from scipy.linalg import eig, eigh
+    linalg = pytest.importorskip("scipy.linalg")
+    eig, eigh = linalg.eig, linalg.eigh
 
     panel = generate(cointegrated_spec(d=4, r_true=2, n_obs=800, seed=8))
     s00, s01, s11 = concentrated_moments(panel, 3, CONST)
@@ -189,7 +186,7 @@ def test_eigenvalues_accurate_on_nearly_collinear_panel(seed):
     # scipy computes from orthonormal bases without forming any moment
     # matrix. A solver that squares the residuals' condition number is off
     # by 1e-8 here; one that factors the residuals stays near 1e-13.
-    from scipy.linalg import subspace_angles
+    subspace_angles = pytest.importorskip("scipy.linalg").subspace_angles
 
     values = generate(cointegrated_spec(d=3, r_true=1, n_obs=400, seed=seed)).values
     noise = 1e-3 * np.random.default_rng(seed).standard_normal(400)
@@ -508,82 +505,3 @@ def test_forecast_vecm_delegates_shape_and_origin():
     path = forecast_vecm(model, panel, 5, origin_index=123)
     assert path.values.shape == (5, 2)
     assert path.origin_index == 123
-
-
-# --------------------------------------------------------------------------
-# Invariances of fit plus forecast
-# --------------------------------------------------------------------------
-
-@st.composite
-def fit_cases(draw):
-    """A simulated panel of d = 2..4 regions and a (p, r, det) to fit on it."""
-    d = draw(st.integers(2, 4))
-    r_true = draw(st.integers(1, d - 1))
-    seed = draw(st.integers(0, 2**16))
-    panel = generate(cointegrated_spec(d=d, r_true=r_true, n_obs=300, seed=seed))
-    p = draw(st.integers(1, 3))
-    r = draw(st.integers(0, d))
-    det = draw(st.sampled_from([NONE, CONST]))
-    return panel, p, r, det
-
-
-def fit_and_forecast(values, p, r, det, horizon=8):
-    panel = TimeSeriesPanel.from_values(values)
-    model = fit_vecm(panel, p=p, r=r, det=det)
-    return forecast_vecm(model, panel, horizon).values
-
-
-def assert_paths_close(got, want):
-    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
-
-
-@settings(max_examples=30, deadline=None)
-@given(fit_cases(), st.floats(0.01, 100.0), st.sampled_from([1.0, -1.0]))
-def test_scaling_the_panel_scales_the_forecasts(case, c, sign):
-    panel, p, r, det = case
-    c *= sign
-    base = fit_and_forecast(panel.values, p, r, det)
-    assert_paths_close(fit_and_forecast(c * panel.values, p, r, det), c * base)
-
-
-@settings(max_examples=30, deadline=None)
-@given(fit_cases(), st.data())
-def test_shifting_the_panel_shifts_forecasts_of_models_with_a_constant(case, data):
-    panel, p, r, _ = case
-    shift = np.asarray(data.draw(st.lists(
-        st.floats(-50.0, 50.0), min_size=panel.d, max_size=panel.d)))
-    base = fit_and_forecast(panel.values, p, r, CONST)
-    assert_paths_close(fit_and_forecast(panel.values + shift, p, r, CONST), base + shift)
-
-
-@settings(max_examples=30, deadline=None)
-@given(fit_cases(), st.randoms(use_true_random=False))
-def test_permuting_the_regions_permutes_the_forecasts(case, rnd):
-    panel, p, r, det = case
-    perm = list(range(panel.d))
-    rnd.shuffle(perm)
-    base = fit_and_forecast(panel.values, p, r, det)
-    assert_paths_close(fit_and_forecast(panel.values[:, perm], p, r, det), base[:, perm])
-
-
-@settings(max_examples=30, deadline=None)
-@given(fit_cases(), st.integers(0, 2**16))
-def test_any_basis_of_the_cointegrating_space_forecasts_alike(case, seed):
-    # beta -> beta Q with alpha -> alpha Q^-T keeps alpha beta' for any
-    # invertible Q, and with it every forecast.
-    panel, p, r, det = case
-    r = max(r, 1)
-    model = fit_vecm(panel, p=p, r=r, det=det)
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(rng.standard_normal((r, r)))[0] * rng.uniform(0.5, 2.0, size=r)
-    rotated = VecmModel(
-        alpha=model.alpha @ np.linalg.inv(q).T,
-        beta=model.beta @ q,
-        gamma=model.gamma,
-        psi=model.psi,
-        det=model.det,
-        eigenvalues=model.eigenvalues,
-        resid_cov=model.resid_cov,
-    )
-    assert_paths_close(forecast_vecm(rotated, panel, 8).values,
-                       forecast_vecm(model, panel, 8).values)
