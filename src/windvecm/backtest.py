@@ -443,14 +443,17 @@ def run_combination(
     Origins where either component fails to fit are skipped for all three
     forecasters, keeping the three loss series aligned. The combined error
     is the mean of the two component errors, i.e. actual minus the mean path.
-    A model that no window could fit (p < 1, or r outside 0..d) is refused
-    before any fit.
+    A model that no window could fit (p < 1, or r outside 0..d), or a
+    window shorter than max(p) + 2, is refused before any fit.
     """
     for p, r in (spec_a, spec_b):
         if p < 1 or not 0 <= r <= panel.d:
             raise InvalidInputError(
                 f"model (p={p}, r={r}) needs p >= 1 and 0 <= r <= d={panel.d}"
             )
+    p_max = max(spec_a[0], spec_b[0])
+    if T < p_max + 2:
+        raise InvalidInputError(f"window T={T} must be >= max(p) + 2 = {p_max + 2}")
     cell_a = run_cell(panel, T, *spec_a, origins, horizon, det, clip_nonnegative)
     cell_b = run_cell(panel, T, *spec_b, origins, horizon, det, clip_nonnegative)
     in_b = np.isin(cell_a.origins_ok, cell_b.origins_ok)

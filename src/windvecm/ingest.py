@@ -5,18 +5,20 @@ Two canonical shapes are accepted, autodetected from the header row:
 * long form  -- ``timestamp,region,value``, one observation per line;
 * wide form  -- ``timestamp,<region>,<region>,...``, one instant per line.
 
-Comma and semicolon delimiters are autodetected. Timestamps are ISO 8601,
-with or without a zone offset; offsets are normalized to UTC and naive
-timestamps are taken as already UTC. The grid step is fixed at 15 minutes:
-a timestamp that, in UTC, does not fall on :00, :15, :30 or :45 raises
-``ParseError`` with its line number, as does a value beyond
-``MAX_ABS_VALUE`` in magnitude or a region named twice in one wide header,
-and a region whose values are all missing raises ``SchemaError``. Duplicate
-(timestamp, region) readings (clock-change exports, or one region in
-several files) are averaged; interior gaps of at most
-``max_gap_slots`` grid steps are filled linearly; anything longer leaves the
-rows incomplete and the longest contiguous run of complete rows is returned,
-so the output always satisfies the uniform-grid/no-missing panel contract.
+Header and rows are read as CSV (a quoted field may hold the delimiter, a
+doubled quote or a newline); the delimiter is ``,`` when the first line, read
+with ``,``, starts with a ``timestamp`` field, else ``;``. Timestamps are
+ISO 8601, with or without a zone offset; offsets are normalized to UTC and
+naive timestamps are taken as already UTC. The grid step is fixed at 15
+minutes: a timestamp that, in UTC, does not fall on :00, :15, :30 or :45
+raises ``ParseError`` at the line its record starts on, as do malformed CSV, a
+value beyond ``MAX_ABS_VALUE`` in magnitude and a region named twice in one
+wide header, and a region whose values are all missing raises ``SchemaError``.
+Duplicate (timestamp, region) readings (clock-change exports, or one region in
+several files) are averaged; interior gaps of at most ``max_gap_slots`` grid
+steps are filled linearly; anything longer leaves the rows incomplete and the
+longest contiguous run of complete rows is returned, so the output always
+satisfies the uniform-grid/no-missing panel contract.
 """
 
 from __future__ import annotations
@@ -80,58 +82,59 @@ def _parse_value(token: str, line_no: int) -> float:
     return value
 
 
-def _sniff_delimiter(header_line: str) -> str:
-    if header_line.count(";") > header_line.count(","):
-        return ";"
-    return ","
-
-
 def _read_file(path: Path, stamps: list, labels: list, values: list) -> int:
     """Append every reading of one file to the three flat lists; returns
     the number of data rows read. A missing value is appended as NaN."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
+        first = fh.readline()
+        if not first.strip():
             raise ParseError("empty file", line=1)
-        delim = _sniff_delimiter(header_line)
-        header = [h.strip() for h in header_line.rstrip("\r\n").split(delim)]
-        lowered = [h.lower() for h in header]
-        if lowered == ["timestamp", "region", "value"]:
-            regions = None
-        elif lowered and lowered[0] == "timestamp" and len(header) >= 2:
-            regions = header[1:]
-            for i, region in enumerate(regions):
-                if not region:
-                    raise ParseError("empty region label in header", line=1)
-                if region in regions[:i]:
-                    raise ParseError(f"region {region!r} repeats in header", line=1)
-        else:
-            raise ParseError(
-                "unknown header; expected 'timestamp,region,value' or "
-                "'timestamp,<region>,...'",
-                line=1,
-            )
-        rows = 0
-        for line_no, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, found {len(row)}", line=line_no
-                )
-            ts = _parse_timestamp(row[0], line_no)
-            if regions is None:
-                region = row[1].strip()
-                if not region:
-                    raise ParseError("empty region label", line=line_no)
-                pairs = ((region, row[2]),)
+        fh.seek(0)
+        start = 1   # the line the next record starts on
+        try:
+            lead = next(csv.reader([first]))[0].strip().lower()
+            reader = csv.reader(fh, delimiter="," if lead == "timestamp" else ";")
+            header = [h.strip() for h in next(reader)]
+            lowered = [h.lower() for h in header]
+            if lowered == ["timestamp", "region", "value"]:
+                regions = None
+            elif lowered[0] == "timestamp" and len(header) >= 2:
+                regions = header[1:]
+                for i, region in enumerate(regions):
+                    if not region:
+                        raise ParseError("empty region label in header", line=1)
+                    if region in regions[:i]:
+                        raise ParseError(f"region {region!r} repeats in header", line=1)
             else:
-                pairs = zip(regions, row[1:])
-            for region, token in pairs:
-                stamps.append(ts)
-                labels.append(region)
-                values.append(_parse_value(token, line_no))
-            rows += 1
+                raise ParseError(
+                    "unknown header; expected 'timestamp,region,value' or "
+                    "'timestamp,<region>,...'",
+                    line=1,
+                )
+            rows, start = 0, reader.line_num + 1
+            for row in reader:
+                line_no, start = start, reader.line_num + 1
+                if not row or not "".join(row).strip():
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(
+                        f"expected {len(header)} fields, found {len(row)}", line=line_no
+                    )
+                ts = _parse_timestamp(row[0], line_no)
+                if regions is None:
+                    region = row[1].strip()
+                    if not region:
+                        raise ParseError("empty region label", line=line_no)
+                    pairs = ((region, row[2]),)
+                else:
+                    pairs = zip(regions, row[1:])
+                for region, token in pairs:
+                    stamps.append(ts)
+                    labels.append(region)
+                    values.append(_parse_value(token, line_no))
+                rows += 1
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=start) from None
         return rows
 
 
@@ -224,9 +227,9 @@ def load_panel(paths, *, max_gap_slots: int = 8) -> tuple[TimeSeriesPanel, Inges
 
 
 def save_wide(panel: TimeSeriesPanel, path) -> None:
-    """Write a panel in the wide format; loading it back is value-exact."""
+    """Write a panel in the wide format, labels quoted as CSV needs; reloading is exact."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestamp," + ",".join(panel.labels) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(["timestamp", *panel.labels])
         for i in range(panel.n_obs):
             stamp = str(panel.timestamps[i].astype("datetime64[s]")) + "Z"
             row = ",".join(f"{v:.17g}" for v in panel.values[i])

@@ -22,8 +22,9 @@ class ForecastPath:
     """H x d matrix of point forecasts issued from one origin.
 
     ``origin_index`` is the time index of the last known observation in
-    whatever indexing the producer used (absolute panel index for backtest
-    cells, history length - 1 for standalone forecasts).
+    whatever indexing the producer used: history length - 1 unless the
+    caller passes one. Backtest cells forecast from their window, so their
+    paths carry ``window.n_obs - 1``, not the absolute panel index.
     """
 
     values: np.ndarray

@@ -621,10 +621,16 @@ def test_os_and_decoding_errors_exit_1_with_one_line(tmp_path, sim_spec_file, ca
          "origin seed must be >= 0, got -1"),
         ("combine", ["--model-a", "1,0", "--model-b", "2,1", "--window", "96",
                      "--origins", "3", "--seed", "-1"], "origin seed must be >= 0, got -1"),
+        # no window of fewer than max(p) + 2 rows can be fitted
+        ("combine", ["--model-a", "1,0", "--model-b", "2,1", "--window", "0",
+                     "--origins", "3"], "window T=0 must be >= max(p) + 2 = 4"),
+        ("combine", ["--model-a", "2,0", "--model-b", "1,1", "--window", "3",
+                     "--origins", "3"], "window T=3 must be >= max(p) + 2 = 4"),
     ],
     ids=["repeated-T", "repeated-p", "repeated-r", "rank-above-d", "combine-no-origins",
          "combine-rank-above-d", "combine-order-0", "combine-negative-rank",
-         "negative-seed", "combine-negative-seed"],
+         "negative-seed", "combine-negative-seed", "combine-window-0",
+         "combine-window-below-order"],
 )
 def test_bad_study_input_exits_1_before_any_fit(tmp_path, sim_spec_file, capsys,
                                                 monkeypatch, command, flags, message):

@@ -74,6 +74,23 @@ def test_wide_form_and_semicolon_delimiter(tmp_path):
     assert report.rows_read == 2
 
 
+@pytest.mark.parametrize(
+    "header, row, labels, values",
+    [
+        ('"timestamp","a","b"', "2020-01-01T00:00,1,2", ("a", "b"), [[1.0, 2.0]]),
+        # a comma file whose label holds more semicolons than the header has commas
+        ("timestamp,a;b;c", "2020-01-01T00:00,1", ("a;b;c",), [[1.0]]),
+        ('"timestamp";"a,b"', "2020-01-01T00:00;1", ("a,b",), [[1.0]]),
+    ],
+    ids=["quoted-header", "comma-header-label-with-semicolons",
+         "quoted-semicolon-header-label-with-comma"],
+)
+def test_header_is_read_by_the_csv_rules(tmp_path, header, row, labels, values):
+    panel, _ = load_panel([write(tmp_path, "h.csv", f"{header}\n{row}\n")])
+    assert panel.labels == labels
+    assert np.array_equal(panel.values, values)
+
+
 def test_wide_form_missing_cell_interpolated(tmp_path):
     path = write(tmp_path, "wm.csv", "\n".join([
         "timestamp,east,west",
@@ -106,10 +123,11 @@ def test_timezone_offsets_normalized_to_utc(tmp_path):
         "2020-01-01T01:00+01:00,north,1",
         "2020-01-01T00:15Z,north,2",
         "2020-01-01T00:30,north,3",
+        "2020-01-01T01:45+0100,north,4",
     ]))
     panel, _ = load_panel([path])
     assert str(panel.timestamps[0]) == "2020-01-01T00:00:00"
-    assert np.array_equal(panel.values.ravel(), [1.0, 2.0, 3.0])
+    assert np.array_equal(panel.values.ravel(), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_long_gap_dropped_longest_segment_kept(tmp_path):
@@ -233,18 +251,20 @@ def test_no_overlap_error(tmp_path):
 
 def test_wide_roundtrip_is_value_exact(tmp_path):
     rng = np.random.default_rng(5)
-    panel = TimeSeriesPanel.from_values(rng.normal(size=(40, 3)) * 1234.5678,
-                                        labels=("a", "b", "c"))
-    out = tmp_path / "round.csv"
-    save_wide(panel, out)
-    back, report = load_panel([out])
-    assert back.labels == panel.labels
-    assert np.array_equal(back.values, panel.values)
-    assert np.array_equal(back.timestamps, panel.timestamps)
-    # and the re-export is byte-stable
-    out2 = tmp_path / "round2.csv"
-    save_wide(back, out2)
-    assert out.read_bytes() == out2.read_bytes()
+    # labels holding the delimiter or a newline are quoted in the header
+    for labels in (("a", "b", "c"), ("a", "a,b", "m\nn")):
+        panel = TimeSeriesPanel.from_values(rng.normal(size=(40, 3)) * 1234.5678,
+                                            labels=labels)
+        out = tmp_path / "round.csv"
+        save_wide(panel, out)
+        back, report = load_panel([out])
+        assert back.labels == panel.labels
+        assert np.array_equal(back.values, panel.values)
+        assert np.array_equal(back.timestamps, panel.timestamps)
+        # and the re-export is byte-stable
+        out2 = tmp_path / "round2.csv"
+        save_wide(back, out2)
+        assert out.read_bytes() == out2.read_bytes()
 
 
 def test_region_with_every_value_missing_is_a_schema_error(tmp_path):
@@ -301,9 +321,16 @@ def test_offset_that_lands_on_the_quarter_hour_in_utc_is_accepted(tmp_path):
          "expected 3 fields, found 2", 5),
         (["timestamp,region,value", "2020-01-01T00:00,a,1", "2020-01-01T00:15,a,one"],
          "unparseable value 'one'", 3),
+        # the open quote runs to the end of the file, past the csv field limit
+        (["timestamp,a,b", '2020-01-01T00:00,"1,2', *["2020-01-01T00:15,3,4"] * 7000],
+         r"field larger than field limit \(131072\)", 2),
+        # a record is reported at the line it starts on, not by its count
+        (["timestamp,a,b", '2020-01-01T00:00,"1', '",2', "2020-01-01T00:15,3,x"],
+         "unparseable value 'x'", 4),
     ],
     ids=["empty-file", "empty-header-label", "repeated-header-label", "empty-row-label",
-         "ragged-row", "ragged-row-after-blank-rows", "unparseable-value"],
+         "ragged-row", "ragged-row-after-blank-rows", "unparseable-value",
+         "unterminated-quote", "bad-value-after-multiline-field"],
 )
 def test_malformed_file_is_a_parse_error_at_its_line(tmp_path, lines, message, bad_line):
     path = write(tmp_path, "bad.csv", "\n".join(lines))

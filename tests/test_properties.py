@@ -2,7 +2,9 @@
 in several shapes, and invariances of fit plus forecast. The module skips
 where hypothesis is not installed; every other test runs without it."""
 
+import csv
 import dataclasses
+import io
 import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -23,6 +25,7 @@ from windvecm import (
     forecast_vecm,
     generate,
     load_panel,
+    save_wide,
 )
 
 NONE = DeterministicSpec.NONE
@@ -44,9 +47,11 @@ _ZONES = (
 @st.composite
 def _readings(draw):
     """Labels and rows (instant, one value or NaN per region) of a small
-    panel with short interior gaps, dropped instants and duplicated rows."""
-    labels = draw(st.lists(st.sampled_from(["de", "dk", "nl", "be"]),
-                           min_size=1, max_size=3, unique=True))
+    panel with short interior gaps, dropped instants and duplicated rows.
+    Some labels hold the delimiter of either dialect or a quote, which an
+    export must quote, and one holds a non-ASCII letter."""
+    names = ["de", "dk", "nl", "be", "a,b", 'q"r', "a;b;c", "Ω"]
+    labels = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
     n = draw(st.integers(3, 12))
     value = st.floats(-1e4, 1e4, allow_nan=False, allow_subnormal=False)
     values = np.array(draw(st.lists(
@@ -74,10 +79,23 @@ def _token(v):
     return "NA" if np.isnan(v) else f"{v:.17g}"
 
 
+def _csv_text(records):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(records)
+    return buf.getvalue()
+
+
 def _load_text(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "readings.csv"
         path.write_text(text, encoding="utf-8")
+        return load_panel([path])
+
+
+def _save_and_load(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        save_wide(panel, path)
         return load_panel([path])
 
 
@@ -93,22 +111,29 @@ def _same(a, b):
 @given(_readings(), st.data())
 def test_long_wide_and_shuffled_exports_ingest_alike(readings, data):
     labels, rows = readings
-    wide = [",".join(["timestamp", *labels])]
-    wide += [",".join([t.isoformat(), *map(_token, v)]) for t, v in rows]
+    wide = [["timestamp", *labels]]
+    wide += [[t.isoformat(), *map(_token, v)] for t, v in rows]
     long = [
-        f"{data.draw(st.sampled_from(_ZONES))(t)},{label},{_token(x)}"
+        [data.draw(st.sampled_from(_ZONES))(t), label, _token(x)]
         for t, v in rows
         for label, x in zip(labels, v)
     ]
     shuffled = data.draw(st.permutations(long))
-    from_wide = _load_text("\n".join(wide) + "\n")
-    from_long = _load_text("\n".join(["timestamp,region,value", *long]) + "\n")
-    from_shuffled = _load_text("\n".join(["timestamp,region,value", *shuffled]) + "\n")
+    from_wide = _load_text(_csv_text(wide))
+    from_long = _load_text(_csv_text([["timestamp", "region", "value"], *long]))
+    from_shuffled = _load_text(_csv_text([["timestamp", "region", "value"], *shuffled]))
     _same(from_wide, from_long)
     _same(from_long, from_shuffled)
     # rows_read counts data lines: one per instant wide, one per reading long
     assert from_wide[1].rows_read == len(rows)
     assert from_long[1].rows_read == from_shuffled[1].rows_read == len(long)
+    # the loaded panel's own export loads back to it, labels and all
+    panel = from_wide[0]
+    back, back_report = _save_and_load(panel)
+    assert back.labels == panel.labels
+    assert back.values.tobytes() == panel.values.tobytes()
+    assert back.timestamps.tobytes() == panel.timestamps.tobytes()
+    assert back_report.rows_read == panel.n_obs
 
 
 # --------------------------------------------------------------------------
