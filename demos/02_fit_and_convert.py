@@ -10,7 +10,6 @@ models across the whole rank range, and shows:
 """
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from windvecm import (
     DeterministicSpec,
@@ -38,7 +37,10 @@ panel = generate(spec)
 model = fit_vecm(panel, p=2, r=2, det=CONST)
 print("\nJohansen eigenvalues:", np.round(model.eigenvalues, 4))
 
-angle = np.degrees(subspace_angles(model.beta, spec.beta)).max()
+# the cosines of the principal angles are the singular values of Qa' Qb
+qa, qb = np.linalg.qr(model.beta)[0], np.linalg.qr(spec.beta)[0]
+cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
+angle = np.degrees(np.arccos(min(cosines.min(), 1.0)))
 print(f"largest principal angle to the true space: {angle:.2f} degrees")
 print("loadings alpha:")
 print(np.round(model.alpha, 3))

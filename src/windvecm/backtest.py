@@ -92,6 +92,8 @@ def sample_origins(
     """
     if n_origins < 1:
         raise InvalidInputError("need at least one origin")
+    if horizon < 1:
+        raise InvalidInputError("horizon must be >= 1")
     if seed < 0:
         raise InvalidInputError(f"origin seed must be >= 0, got {seed}")
     feasible = n_obs - horizon - t_max

@@ -48,8 +48,10 @@ def _stack_errors(errors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             "error matrices must be numeric and share one H x d shape"
         ) from None
-    if not len(cube):
+    if not cube.size:
         raise InvalidInputError("empty error collection")
+    if cube.ndim != 3:
+        raise InvalidInputError(f"errors must form an (N, H, d) cube, got shape {cube.shape}")
     return cube
 
 

@@ -16,20 +16,21 @@ Layout (one header line, then named sections)::
 
 Numbers are rendered with %.17g, which round-trips IEEE doubles exactly, so
 ``read_model(write_model(m))`` reproduces every coefficient bit-for-bit.
-A line that ``read_model`` cannot read raises `ParseError` with its number;
-so does a section header whose sizes disagree with the ``d``/``p``/``r``/``det``
-header (``alpha``/``beta`` d x r, ``gammaK``/``phiK`` and ``resid_cov`` d x d,
-``psi`` d x m with m deterministic terms, d eigenvalues). `write_model` never
-writes what `read_model` rejects: a NaN or infinite value raises
-`InvalidInputError` naming its section before the file is opened.
-A VAR file carries matrices ``phi1..phip``, ``psi``, ``resid_cov``; a VECM
-file carries ``alpha``, ``beta``, ``gamma1..gamma{p-1}``, ``psi``,
-``resid_cov`` and optionally the eigenvalue vector. Only blank lines may
-follow the last section.
+`_sections` lists each kind's matrix sections in file order (``phi1..phip``,
+or ``alpha``, ``beta``, ``gamma1..gamma{p-1}``; then ``psi``, ``resid_cov``).
+A VECM file may end with its eigenvalue vector; only blank lines may follow.
+A line that ``read_model`` cannot read raises `ParseError` with its number:
+a count (``d``, ``p``, ``r``, a size) that is not ASCII digits, a value that
+is not a finite number as %.17g writes it, section sizes that disagree with
+the ``d``/``p``/``r``/``det`` header, or eigenvalues not sorted descending in
+[0, 1). `write_model` never writes what `read_model` rejects: a non-finite
+value raises `InvalidInputError` naming its section before the file is opened.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -41,31 +42,40 @@ from .vecm import VecmModel
 
 _MAGIC = "windvecm-model 1"
 
+#: How `write_model` writes a count and a value; `_Reader.number` reads nothing else.
+_WRITTEN = {int: re.compile("[0-9]{1,18}"),
+            float: re.compile(r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?")}
+_MAX = np.finfo(float).max
 
-def _format_matrix(name: str, mat: np.ndarray) -> list[str]:
-    if not np.isfinite(mat).all():
-        raise InvalidInputError(f"model section {name} holds non-finite values")
-    rows, cols = mat.shape
-    lines = [f"matrix {name} {rows} {cols}"]
-    for i in range(rows):
-        lines.append(" ".join(f"{v:.17g}" for v in mat[i]))
-    return lines
+
+def _sections(kind: str, d: int, p: int, r: int, m: int) -> Iterator[tuple[str, int, int]]:
+    """(name, rows, cols) of each matrix section in file order, yielded lazily so a
+    reader stops at the first missing one however large a malformed ``p`` is."""
+    if kind == "vecm":
+        yield from [("alpha", d, r), ("beta", d, r)]
+        yield from ((f"gamma{k}", d, d) for k in range(1, p))
+    else:
+        yield from ((f"phi{k}", d, d) for k in range(1, p + 1))
+    yield from [("psi", d, m), ("resid_cov", d, d)]
 
 
 def write_model(model: VarModel | VecmModel, path) -> None:
     if isinstance(model, VecmModel):
-        kind, extra, eigenvalues = "vecm", [f"r {model.r}"], model.eigenvalues
-        own = [("alpha", model.alpha), ("beta", model.beta)]
-        own += [(f"gamma{k}", g) for k, g in enumerate(model.gamma, start=1)]
+        kind, r, eigenvalues = "vecm", model.r, model.eigenvalues
+        mats = [model.alpha, model.beta, *model.gamma]
     elif isinstance(model, VarModel):
-        kind, extra, eigenvalues = "var", [], None
-        own = [(f"phi{k}", m) for k, m in enumerate(model.phi, start=1)]
+        kind, r, eigenvalues = "var", 0, None
+        mats = list(model.phi)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     lines = [_MAGIC, f"kind {kind}", f"det {model.det.value}", f"d {model.d}",
-             f"p {model.p}", *extra]
-    for name, mat in own + [("psi", model.psi), ("resid_cov", model.resid_cov)]:
-        lines += _format_matrix(name, mat)
+             f"p {model.p}", *([f"r {r}"] if kind == "vecm" else [])]
+    sections = _sections(kind, model.d, model.p, r, model.det.n_terms)
+    for (name, rows, cols), mat in zip(sections, mats + [model.psi, model.resid_cov]):
+        if not np.isfinite(mat).all():
+            raise InvalidInputError(f"model section {name} holds non-finite values")
+        lines.append(f"matrix {name} {rows} {cols}")
+        lines += [" ".join(f"{v:.17g}" for v in row) for row in mat]
     if eigenvalues is not None:
         lines.append(f"vector eigenvalues {eigenvalues.size}")
         lines.append(" ".join(f"{v:.17g}" for v in eigenvalues))
@@ -91,13 +101,10 @@ class _Reader:
             raise ParseError(f"expected '{key} <value>', got {line!r}", line=self.pos)
         return parts[1]
 
-    def number(self, token: str, what: str, kind=float, minimum=-np.inf, below=np.inf):
-        """``token`` of the line just read as a ``kind`` in [``minimum``, ``below``)."""
-        try:
-            value = kind(token)
-        except ValueError:
-            value = np.nan
-        if not minimum <= value < below:  # also false for NaN
+    def number(self, token: str, what: str, kind=float, minimum=-_MAX, maximum=_MAX):
+        """``token`` of the line just read: a `_WRITTEN` ``kind`` in [minimum, maximum]."""
+        value = kind(token) if _WRITTEN[kind].fullmatch(token) else np.nan
+        if not minimum <= value <= maximum:  # also false for NaN
             raise ParseError(f"invalid {what} {token!r}", line=self.pos)
         return value
 
@@ -146,15 +153,8 @@ def read_model(path) -> VarModel | VecmModel:
         raise ParseError(f"unknown det {det_name!r}", line=reader.pos) from None
     d = reader.number(reader.scalar("d"), "d", int, 1)
     p = reader.number(reader.scalar("p"), "p", int, 1)
-    if kind == "vecm":
-        r = reader.number(reader.scalar("r"), "r", int, 0, d + 1)
-        alpha = reader.matrix("alpha", d, r)
-        beta = reader.matrix("beta", d, r)
-        gamma = tuple(reader.matrix(f"gamma{k}", d, d) for k in range(1, p))
-    else:
-        phi = tuple(reader.matrix(f"phi{k}", d, d) for k in range(1, p + 1))
-    psi = reader.matrix("psi", d, det.n_terms)
-    resid_cov = reader.matrix("resid_cov", d, d)
+    r = reader.number(reader.scalar("r"), "r", int, 0, d) if kind == "vecm" else 0
+    *own, psi, resid_cov = [reader.matrix(*s) for s in _sections(kind, d, p, r, det.n_terms)]
     eigenvalues = None
     rest = reader.lines[reader.pos :]
     if kind == "vecm" and rest and rest[0].startswith("vector eigenvalues"):
@@ -164,8 +164,12 @@ def read_model(path) -> VarModel | VecmModel:
         if line.strip():
             raise ParseError(f"unexpected {line!r} after the last section", line=line_no)
     if kind == "var":
-        return VarModel(phi=phi, psi=psi, det=det, resid_cov=resid_cov)
-    return VecmModel(
-        alpha=alpha, beta=beta, gamma=gamma, psi=psi, det=det,
-        eigenvalues=eigenvalues, resid_cov=resid_cov,
-    )
+        return VarModel(phi=tuple(own), psi=psi, det=det, resid_cov=resid_cov)
+    alpha, beta, *gamma = own
+    try:  # the header checks fix every shape: only the eigenvalue row, read last, can fail
+        return VecmModel(
+            alpha=alpha, beta=beta, gamma=tuple(gamma), psi=psi, det=det,
+            eigenvalues=eigenvalues, resid_cov=resid_cov,
+        )
+    except InvalidInputError as exc:
+        raise ParseError(str(exc), line=reader.pos) from None

@@ -80,7 +80,7 @@ class DgpSpec:
         cov = np.array(self.noise_cov, dtype=float)
         if cov.shape != (d, d) or not np.allclose(cov, cov.T):
             raise InvalidSpecError("noise_cov must be a symmetric d x d matrix")
-        initial = np.array(self.initial, dtype=float).reshape(-1)
+        initial = np.array(self.initial, dtype=float)
         if initial.shape != (d,):
             raise InvalidSpecError(f"initial state must have {d} entries")
         for arr in (alpha, beta, cov, initial, *gamma):
@@ -140,12 +140,18 @@ def generate(spec: DgpSpec) -> TimeSeriesPanel:
     Steps ``spec.phi`` with `forecast_var`'s recursion from rest at
     ``spec.initial``, discards a burn-in of 200 steps and returns n_obs rows
     on a synthetic quarter-hourly clock. A path that leaves `MAX_ABS_VALUE`
-    in magnitude (noise_cov or initial too large) raises `InvalidSpecError`.
+    in magnitude (noise_cov or initial too large), or one too long to be
+    allocated, raises `InvalidSpecError`.
     """
     rng = np.random.default_rng(spec.seed)
     factor = _psd_factor(spec.noise_cov)
-    eps = rng.standard_normal((BURN_IN + spec.n_obs, spec.d)) @ factor.T
-    kept = _recurse(spec.phi, spec.initial, eps)[BURN_IN:]
+    try:
+        eps = rng.standard_normal((BURN_IN + spec.n_obs, spec.d)) @ factor.T
+        kept = _recurse(spec.phi, spec.initial, eps)[BURN_IN:]
+    except (MemoryError, ValueError):
+        raise InvalidSpecError(
+            f"n_obs {spec.n_obs} is too large: its path cannot be allocated"
+        ) from None
     if not (np.abs(kept) <= MAX_ABS_VALUE).all():  # also false for NaN
         raise InvalidSpecError(
             f"simulated path exceeds the value bound {MAX_ABS_VALUE:g} in magnitude; "
@@ -217,10 +223,13 @@ def spec_to_json(spec: DgpSpec) -> str:
 def spec_from_json(text: str) -> DgpSpec:
     """Parse the JSON config format back into a validated spec.
 
-    Malformed JSON, a payload that is not an object, a missing field, a key
-    that `spec_to_json` does not write and a field of the wrong type or size
-    all raise `InvalidSpecError`; the counts ``d``, ``r_true``, ``n_obs`` and
-    ``seed`` must be integral JSON numbers. ``gamma``, ``seed`` and
+    Shapes and counts are read only as `spec_to_json` writes them: ``alpha``
+    and ``beta`` are d x r_true nested lists (``[[], []]`` for d = 2,
+    r_true = 0), ``initial`` a flat list, and the counts ``d``, ``r_true``,
+    ``n_obs`` and ``seed`` are JSON integers; array entries go through
+    numpy's float conversion. Malformed JSON, a payload that is not an object, a missing
+    field, a key that `spec_to_json` does not write and a field of the wrong
+    type or shape all raise `InvalidSpecError`. ``gamma``, ``seed`` and
     ``initial`` may be left out (no short-run terms, seed 0, a zero start).
     """
     try:
@@ -239,26 +248,22 @@ def spec_from_json(text: str) -> DgpSpec:
 
     def _integer(key: str, default: int | None = None) -> int:
         value = payload[key] if default is None else payload.get(key, default)
-        if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()
-        ):
+        if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidSpecError(f"spec JSON field {key!r} must be an integer, got {value!r}")
-        return int(value)
-
-    def _matrix(key: str, rows: int, cols: int) -> np.ndarray:
-        arr = np.asarray(payload[key], dtype=float)
-        if arr.size != rows * cols:
-            raise InvalidSpecError(
-                f"spec JSON field {key!r} must hold d x r_true = {rows} x {cols} values"
-            )
-        return arr.reshape(rows, cols)
+        return value
 
     try:
-        d = _integer("d")
-        r_true = _integer("r_true")
+        d, r_true = _integer("d"), _integer("r_true")
+        if d < 1 or r_true < 0:
+            raise InvalidSpecError(f"spec JSON needs d >= 1 and r_true >= 0, got {d} and {r_true}")
+        alpha = np.asarray(payload["alpha"], dtype=float)
+        if alpha.shape != (d, r_true):  # before np.zeros(d) below; DgpSpec matches beta to it
+            raise InvalidSpecError(
+                f"spec JSON alpha must be a d x r_true = {d} x {r_true} nested list, "
+                f"got shape {alpha.shape}"
+            )
         fields = dict(
-            alpha=_matrix("alpha", d, r_true),
-            beta=_matrix("beta", d, r_true),
+            alpha=alpha, beta=np.asarray(payload["beta"], dtype=float),
             gamma=tuple(np.asarray(g, dtype=float) for g in payload.get("gamma", [])),
             noise_cov=np.asarray(payload["noise_cov"], dtype=float),
             n_obs=_integer("n_obs"),

@@ -77,6 +77,12 @@ def test_origin_sampling_insufficient_range():
         sample_origins(110, 96, 8, 10, seed=0)
 
 
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_origin_sampling_rejects_horizon_below_one(horizon):
+    with pytest.raises(InvalidInputError, match="horizon must be >= 1"):
+        sample_origins(700, 96, horizon, 3, seed=0)
+
+
 # --------------------------------------------------------------------------
 # single cells
 # --------------------------------------------------------------------------

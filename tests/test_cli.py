@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import os
 import re
 import subprocess
@@ -292,49 +293,89 @@ def test_data_and_sim_are_exclusive(tmp_path, sim_spec_file):
               "--p", "1", "--out", str(tmp_path / "m.txt")])
 
 
+def _transposed_spec(keys=("alpha", "beta")) -> str:
+    """A valid d = 3, r_true = 2 spec with the matrices `keys` written 2 x 3."""
+    payload = json.loads(spec_to_json(cointegrated_spec(d=3, r_true=2, seed=0)))
+    for key in keys:
+        payload[key] = [list(col) for col in zip(*payload[key])]
+    return json.dumps(payload)
+
+
+# d = 2, r_true = 0 in `spec_to_json`'s layout, up to the field under test
+_SPEC_2X0 = '"d": 2, "r_true": 0, "alpha": [[], []], "beta": [[], []]'
+_COV_2 = '"noise_cov": [[1, 0], [0, 1]]'
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload, message",
     [
-        "[1, 2, 3]",
-        '{"d": 2, "r_true": 1, "alpha": [1, 2, 3], "beta": [[1], [0]],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
-        '{"d": 2, "r_true": 0, "alpha": [], "beta": [], "gamma": [[[0.1, 0], [0]]],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
-        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": "many"}',
-        '{"d": 2, "r_true": 0, "alpha": [], "beta": [], "gamma": [[[NaN, 0], [0, 0]]],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
-        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300, "seed": -3}',
-        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 700.9}',
-        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": true}',
-        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300, "seed": 1.5}',
-        '{"d": 2.5, "r_true": 0, "alpha": [], "beta": [],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
-        '{"d": 2, "r_true": false, "alpha": [], "beta": [],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
-        '{"d": 2, "r_true": 0, "alpha": [], "beta": [],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": "300"}',
-        '{"d": 2, "r_true": -1, "alpha": [1, 0], "beta": [1, 0],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
-        '{"d": 2, "r_true": 0, "alpha": [], "beta": [], "gama": [[[0.1, 0], [0, 0.1]]],'
-        ' "noise_cov": [[1, 0], [0, 1]], "n_obs": 300}',
+        ("[1, 2, 3]", "spec JSON must be an object, got list"),
+        ('{"d": 2, "r_true": 1, "alpha": [1, 2, 3], "beta": [[1], [0]],'
+         f' {_COV_2}, "n_obs": 300}}',
+         "alpha must be a d x r_true = 2 x 1 nested list, got shape (3,)"),
+        (f'{{{_SPEC_2X0}, "gamma": [[[0.1, 0], [0]]], {_COV_2}, "n_obs": 300}}',
+         "spec JSON field has a wrong type or size"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": "many"}}',
+         "field 'n_obs' must be an integer, got 'many'"),
+        (f'{{{_SPEC_2X0}, "gamma": [[[NaN, 0], [0, 0]]], {_COV_2}, "n_obs": 300}}',
+         "spec arrays contain NaN or infinite entries"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": 300, "seed": -3}}',
+         "seed must be >= 0, got -3"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": 700.9}}',
+         "field 'n_obs' must be an integer, got 700.9"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": true}}',
+         "field 'n_obs' must be an integer, got True"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": 300, "seed": 1.5}}',
+         "field 'seed' must be an integer, got 1.5"),
+        (f'{{"d": 2.5, "r_true": 0, "alpha": [[], []], "beta": [[], []], {_COV_2},'
+         ' "n_obs": 300}', "field 'd' must be an integer, got 2.5"),
+        (f'{{"d": 2, "r_true": false, "alpha": [[], []], "beta": [[], []], {_COV_2},'
+         ' "n_obs": 300}', "field 'r_true' must be an integer, got False"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": "300"}}',
+         "field 'n_obs' must be an integer, got '300'"),
+        (f'{{"d": 2, "r_true": -1, "alpha": [[1], [0]], "beta": [[1], [0]], {_COV_2},'
+         ' "n_obs": 300}', "needs d >= 1 and r_true >= 0, got 2 and -1"),
+        (f'{{{_SPEC_2X0}, "gama": [[[0.1, 0], [0, 0.1]]], {_COV_2}, "n_obs": 300}}',
+         "unknown spec JSON field(s): 'gama'"),
+        # read row-major into a scrambled 3 x 2 matrix, a different valid process
+        (_transposed_spec(),
+         "alpha must be a d x r_true = 3 x 2 nested list, got shape (2, 3)"),
+        (_transposed_spec(keys=("beta",)),
+         "alpha/beta must both be d x r_true, got (3, 2) and (2, 3)"),
+        ('{"d": 2, "r_true": 1, "alpha": [-0.4, 0.4], "beta": [[1], [-1]],'
+         f' {_COV_2}, "n_obs": 300}}',
+         "alpha must be a d x r_true = 2 x 1 nested list, got shape (2,)"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": 300.0}}',
+         "field 'n_obs' must be an integer, got 300.0"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": 1e300}}',
+         "field 'n_obs' must be an integer, got 1e+300"),
+        # d must match alpha before it sizes the default zero start
+        (f'{{"d": {2**62}, "r_true": 0, "alpha": [[], []], "beta": [[], []], {_COV_2},'
+         ' "n_obs": 300}',
+         f"alpha must be a d x r_true = {2**62} x 0 nested list, got shape (2, 0)"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": 300, "initial": [[0], [0]]}}',
+         "initial state must have 2 entries"),
+        # integers numpy refuses before it allocates anything
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": {2**62}}}',
+         f"n_obs {2**62} is too large: its path cannot be allocated"),
+        (f'{{{_SPEC_2X0}, {_COV_2}, "n_obs": {2**70}}}',
+         f"n_obs {2**70} is too large: its path cannot be allocated"),
     ],
     ids=["not-an-object", "alpha-size", "ragged-gamma", "n_obs-type", "nan-gamma",
          "negative-seed", "fractional-n_obs", "bool-n_obs", "fractional-seed",
          "fractional-d", "bool-r_true", "string-n_obs", "negative-r_true",
-         "misspelt-gamma"],
+         "misspelt-gamma", "transposed-alpha-beta", "transposed-beta", "flat-alpha", "float-n_obs",
+         "huge-float-n_obs", "d-2**62-without-initial", "nested-initial", "n_obs-2**62", "n_obs-2**70"],
 )
-def test_backtest_malformed_spec_exits_1(tmp_path, capsys, payload):
+def test_backtest_malformed_spec_exits_1(tmp_path, capsys, payload, message):
     spec = tmp_path / "spec.json"
     spec.write_text(payload)
     code = main(["backtest", "--sim", str(spec), "--window", "96", "--p", "1",
                  "--origins", "3", "--out", str(tmp_path / "bt")])
     assert code == 1
-    assert "InvalidSpecError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("windvecm: InvalidSpecError: ") and err.count("\n") == 1
+    assert message in err
 
 
 GOLDEN_COMBINE_CONSTANT = """\
@@ -626,11 +667,14 @@ def test_os_and_decoding_errors_exit_1_with_one_line(tmp_path, sim_spec_file, ca
                      "--origins", "3"], "window T=0 must be >= max(p) + 2 = 4"),
         ("combine", ["--model-a", "2,0", "--model-b", "1,1", "--window", "3",
                      "--origins", "3"], "window T=3 must be >= max(p) + 2 = 4"),
+        # model A would fit one origin before forecasting refused the horizon
+        ("combine", ["--model-a", "1,0", "--model-b", "2,1", "--window", "96",
+                     "--origins", "3", "--horizon", "0"], "horizon must be >= 1"),
     ],
     ids=["repeated-T", "repeated-p", "repeated-r", "rank-above-d", "combine-no-origins",
          "combine-rank-above-d", "combine-order-0", "combine-negative-rank",
          "negative-seed", "combine-negative-seed", "combine-window-0",
-         "combine-window-below-order"],
+         "combine-window-below-order", "combine-horizon-0"],
 )
 def test_bad_study_input_exits_1_before_any_fit(tmp_path, sim_spec_file, capsys,
                                                 monkeypatch, command, flags, message):

@@ -79,6 +79,16 @@ def test_metrics_reject_empty_and_ragged_input():
         mse([np.zeros((2, 2)), np.zeros((3, 2))])
 
 
+@pytest.mark.parametrize("shape", [(), (4,), (4, 3), (2, 4, 3, 1)])
+def test_metrics_reject_errors_that_are_no_cube(shape):
+    # A 2-D array is one H x d matrix, not N of them: it must not be scored
+    # as N origins of one-step, scalar errors.
+    errors = np.ones(shape)
+    for score in (mae, mse, lambda e: per_origin_loss(e, "absolute")):
+        with pytest.raises(InvalidInputError, match=r"\(N, H, d\) cube"):
+            score(errors)
+
+
 def test_per_origin_loss_granularity():
     errors = [np.full((2, 3), 1.0), np.full((2, 3), -2.0)]
     assert np.array_equal(per_origin_loss(errors, "absolute"), [6.0, 12.0])

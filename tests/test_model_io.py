@@ -120,6 +120,18 @@ def _replace_line(lines, prefix, new, offset=0):
         ("vecm", "det ", 0, "dett none"),
         ("vecm", "matrix alpha", 1, "0.5 0.25"),
         ("var", "matrix resid_cov", 2, None),
+        # counts are ASCII digits as written, not whatever int() accepts
+        ("vecm", "d ", 0, "d \uff13"),
+        ("var", "p ", 0, "p 1_0"),
+        pytest.param("var", "matrix phi1", 0, "matrix phi1 3 " + "3" * 5000,
+                     id="size-of-5000-digits"),
+        # values are finite numbers in %.17g's form, not whatever float() accepts
+        ("var", "matrix phi1", 1, "-inf 0 0"),
+        ("var", "matrix phi1", 1, "1_0 0 0"),
+        # an eigenvalue row the model refuses fails at that row
+        ("vecm", "vector eigenvalues", 1, "0.1 0.5 0.2"),
+        ("vecm", "vector eigenvalues", 1, "1 0.5 0.1"),
+        ("vecm", "vector eigenvalues", 1, "0.5 0.1 -0.1"),
     ],
 )
 def test_read_rejects_malformed_line_with_its_number(tmp_path, kind, prefix, offset, new):
@@ -146,6 +158,19 @@ def test_section_is_refused_at_its_short_row_before_any_allocation(tmp_path):
     with pytest.raises(ParseError, match="row 0 has 3 values, expected 100000") as info:
         read_model(path)
     assert info.value.line == 7
+
+
+def test_huge_order_fails_at_its_first_missing_section(tmp_path):
+    # p = 10**17 in a p = 2 file: the sections are walked as they are read,
+    # so the file is refused where phi3 should start, without a list of
+    # 10**17 section names being built first.
+    path = tmp_path / "model.txt"
+    write_model(fit_var(generate(cointegrated_spec(d=3, r_true=1, n_obs=300, seed=4)), 2), path)
+    lines, _ = _replace_line(path.read_text().splitlines(), "p ", "p " + "1" + "0" * 17)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="expected matrix phi3") as info:
+        read_model(path)
+    assert info.value.line == 14
 
 
 _PHI3 = ["matrix phi3 3 3", "1 0 0", "0 1 0", "0 0 1"]
