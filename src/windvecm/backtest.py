@@ -24,7 +24,7 @@ from .errors import (
     SingularMomentError,
 )
 from .panel import DeterministicSpec, TimeSeriesPanel
-from .vecm import _design_r, fit_vecm, forecast_vecm
+from .vecm import fit_vecm, forecast_vecm
 
 #: Default grids mirror the quarter-hourly study design: calibration windows
 #: of 1..32 days, orders 1..7, every rank up to the panel dimension.
@@ -132,9 +132,7 @@ def _run_ranks(
     """`run_cell` for each rank of ``ranks`` at one (T, p), in that order.
 
     Origins run on the outside and ranks on the inside: every rank fits the
-    same window object in turn, so `fit_vecm` factors its design once. The
-    last window's factor is dropped before returning: its window is a view
-    that would keep the panel's values alive.
+    same window object in turn, so `fit_vecm` factors its design once.
     """
     origins = np.asarray(origins, dtype=int)
     if origins.size and (origins.min() < T or origins.max() + horizon >= panel.n_obs):
@@ -156,7 +154,6 @@ def _run_ranks(
                 forecast = np.maximum(forecast, 0.0)
             ok.append(int(o))
             errs.append(actual - forecast)
-    _design_r.cache_clear()
     return tuple(
         CellResult(
             origins_ok=np.asarray(ok, dtype=int),

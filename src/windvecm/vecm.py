@@ -20,7 +20,7 @@ through the same code path.
 
 from __future__ import annotations
 
-import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,24 +130,27 @@ def _johansen_eigen(
     return lam, np.sqrt(eff) * np.linalg.solve(t[0], vt.T)
 
 
-@functools.lru_cache(maxsize=1)
+#: Per window object: (p, det) -> (eff, R). An entry dies with its window.
+_factors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _design_r(
     panel: TimeSeriesPanel, p: int, det: DeterministicSpec
 ) -> tuple[int, np.ndarray]:
     """Rows and read-only R factor of the VECM design [z | Y_{t-1} | dY_t].
 
-    Every rank fitted on one window and order solves on this factor, so the
-    last one is kept. The key is the window object itself (a panel hashes
-    by identity, and its values are read-only), held until the next miss
-    replaces it or `cache_clear` drops it; a grid unit clears it when it
-    returns, since a window that is a view keeps its whole panel's values
-    alive. A call that raises, such as `InsufficientDataError` on a short
-    window, is not kept.
+    Every rank fitted on one window and order solves on this factor, so it
+    is kept for as long as the window object lives (a panel hashes by
+    identity, and its values are read-only). A call that raises, such as
+    `InsufficientDataError` on a short window, is not kept.
     """
-    a = build_design(panel, p, det, levels=False)
-    qr_r = np.linalg.qr(a, mode="r")
-    qr_r.setflags(write=False)
-    return a.shape[0], qr_r
+    key = (p, det)
+    if key not in _factors.get(panel, {}):
+        a = build_design(panel, p, det, levels=False)
+        qr_r = np.linalg.qr(a, mode="r")
+        qr_r.setflags(write=False)
+        _factors.setdefault(panel, {})[key] = a.shape[0], qr_r
+    return _factors[panel][key]
 
 
 @one_blas_thread()
@@ -172,8 +175,8 @@ def fit_vecm(
     regressions: each runs on R's column blocks, which have
     min(n_obs - p, columns) rows, and keeps the solution, singular values
     and residual cross-products of the same regression on the tall data.
-    Consecutive fits on the same window object and order (the ranks of one
-    grid cell's origin) reuse one R factor.
+    Fits on the same window object and order (the ranks of one grid
+    cell's origin) reuse one R factor, kept while that object lives.
 
     The eigenvalues are computed for every rank (including r = 0, where
     they are purely diagnostic); if S00 or S11 is degenerate the fit

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -300,9 +303,9 @@ def test_ranks_inside_unit_eigenvalues_are_refused():
 
 
 def test_ranks_share_a_window_factor_and_a_new_window_gets_its_own():
-    # Consecutive fits on one window object and order reuse its R factor.
-    # A different window of the same shape and order must not see that
-    # factor, and no fit may write to it.
+    # Fits on one window object and order reuse its R factor, which lives
+    # exactly as long as that object. A different window of the same shape
+    # and order must not see that factor, and no fit may write to it.
     panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=400, seed=6))
     a, b = panel.window(0, 200), panel.window(100, 300)
     fresh_b = TimeSeriesPanel(b.values.copy(), b.timestamps, b.labels)
@@ -311,11 +314,11 @@ def test_ranks_share_a_window_factor_and_a_new_window_gets_its_own():
         return [fit_vecm(window, p=2, r=r, det=CONST) for r in range(4)]
 
     fits(a)
-    hits = vecm._design_r.cache_info().hits
-    got = fits(b)
-    assert vecm._design_r.cache_info().hits == hits + 3
+    got = [fit_vecm(b, p=2, r=0, det=CONST)]
     _, factor = vecm._design_r(b, 2, CONST)
-    assert vecm._design_r.cache_info().hits == hits + 4
+    got += [fit_vecm(b, p=2, r=r, det=CONST) for r in range(1, 4)]
+    assert vecm._design_r(b, 2, CONST)[1] is factor
+    assert vecm._design_r(a, 2, CONST)[1] is not factor
     assert not factor.flags.writeable
     design = build_design(fresh_b, 2, CONST, levels=False)
     assert np.array_equal(factor, np.linalg.qr(design, mode="r"))
@@ -323,6 +326,13 @@ def test_ranks_share_a_window_factor_and_a_new_window_gets_its_own():
         for name in ("alpha", "beta", "psi", "eigenvalues", "resid_cov"):
             assert np.array_equal(getattr(model, name), getattr(want, name))
         assert all(np.array_equal(g, w) for g, w in zip(model.gamma, want.gamma, strict=True))
+
+    gc.collect()
+    n_windows, factor_ref = len(vecm._factors), weakref.ref(factor)
+    del b, factor
+    gc.collect()
+    assert factor_ref() is None
+    assert len(vecm._factors) == n_windows - 1
 
 
 def test_model_sizes_come_from_its_arrays():
