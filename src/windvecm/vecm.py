@@ -201,6 +201,13 @@ def fit_vecm(
         )
     # Every regression below runs on the R factor of A = [z | Y_{t-1} | dY_t].
     r_z, r_y1, r_dy = qr_r[:, :k], qr_r[:, k : k + d], qr_r[:, k + d :]
+    # Under a constant (z's last column), Y_{t-1} - c for the window's last
+    # reading c gives the same fit, but one whose condition checks do not see
+    # the data's level; psi takes alpha beta' c back below.
+    c = np.zeros(d)
+    if det is DeterministicSpec.CONSTANT:
+        c = panel.values[-1]
+        r_y1 = r_y1 - qr_r[:, k - 1 : k] * c
     # Residuals of the concentration step. The projection onto span(z) is
     # well defined even for rank-deficient z, so no condition guard here.
     r0 = r_dy - r_z @ np.linalg.lstsq(r_z, r_dy, rcond=None)[0]
@@ -217,8 +224,8 @@ def fit_vecm(
 
     b, resid = solve_ls(np.hstack((r_z, r_y1 @ beta)), r_dy)
     gamma = tuple(b[j * d : (j + 1) * d, :].T for j in range(p - 1))
-    psi = b[n_sr:k, :].T
     alpha = b[k:, :].T
+    psi = b[n_sr:k, :].T - (alpha @ (beta.T @ c))[:, None]
     resid_cov = resid.T @ resid / eff
     return VecmModel(
         alpha=alpha,

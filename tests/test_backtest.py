@@ -204,6 +204,42 @@ def test_collinear_regions_fail_every_cointegrated_fit(third):
     assert np.all(np.isfinite(base.mae)) and np.all(np.isfinite(base.mse))
 
 
+def _shifted(panel: TimeSeriesPanel, c: float) -> TimeSeriesPanel:
+    return TimeSeriesPanel(panel.values + c, panel.timestamps, panel.labels)
+
+
+def test_constant_offset_changes_no_failure_and_no_loss():
+    # Under det constant a level shift only moves psi. Without centring the
+    # levels in the fit, 1e5 turned 792 of these 2352 clean fits into
+    # SingularDesignError, and 1e3 failed 24 floored T = 384 fits at origin
+    # 19405. The shifted readings carry about 1e5 * 2**-53 of rounding, so
+    # losses agree only to that: measured 2.1e-10 (clean), 2.9e-11 (floored).
+    config = BacktestConfig(n_origins=8, seed=1)
+    clean = generate(cointegrated_spec(d=6, r_true=3, n_obs=4000, seed=1))
+    base, moved = run_grid(clean, config), run_grid(_shifted(clean, 1e5), config)
+    assert sum(rec.n_failed for rec in base.records) == 0
+    for a, b in zip(base.records, moved.records, strict=True):
+        assert b.failures == a.failures
+        assert np.array_equal(b.origins_ok, a.origins_ok)
+        np.testing.assert_allclose(b.per_origin_abs, a.per_origin_abs, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(b.per_origin_sq, a.per_origin_sq, rtol=1e-9, atol=0.0)
+
+    floored = clipped_panel(cointegrated_spec(d=6, r_true=3, n_obs=35040, seed=1), 0.25)
+    origins = sample_origins(floored.n_obs, 3072, 8, 8, seed=0)  # the default grid's
+    assert 19405 in origins
+    moved = _shifted(floored, 1e3)
+    for p in (4, 5, 6, 7):
+        for r in range(7):
+            a, b = (run_cell(x, 384, p, r, origins, 8) for x in (floored, moved))
+            assert b.failures == a.failures
+            assert np.array_equal(b.origins_ok, a.origins_ok)
+            for loss in ("absolute", "squared"):
+                np.testing.assert_allclose(
+                    per_origin_loss(b.errors, loss), per_origin_loss(a.errors, loss),
+                    rtol=1e-9, atol=0.0,
+                )
+
+
 def test_run_cell_validates_origin_range():
     panel = generate(random_walk_spec(2, 120, seed=0))
     with pytest.raises(InvalidInputError):
