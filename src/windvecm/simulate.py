@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSpecError
-from .panel import MAX_ABS_VALUE, DeterministicSpec, TimeSeriesPanel
+from .panel import MAX_ABS_VALUE, TimeSeriesPanel
 from .var import _recurse, companion_matrix
-from .vecm import VecmModel, vecm_to_var
+from .vecm import _levels_phi
 
 #: Steps simulated and discarded before collecting observations.
 BURN_IN = 200
@@ -100,11 +100,7 @@ class DgpSpec:
         object.__setattr__(self, "r_true", r_true)
         object.__setattr__(self, "p_true", len(gamma) + 1)
 
-        implied = VecmModel(
-            alpha=alpha, beta=beta, gamma=gamma, psi=np.zeros((d, 0)),
-            det=DeterministicSpec.NONE, eigenvalues=None, resid_cov=cov,
-        )
-        phi = vecm_to_var(implied).phi
+        phi = _levels_phi(alpha @ beta.T, gamma)
         for m in phi:
             m.setflags(write=False)
         object.__setattr__(self, "phi", phi)

@@ -238,16 +238,20 @@ def fit_vecm(
     )
 
 
+def _levels_phi(pi: np.ndarray, gamma: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The levels-VAR matrices phi_1 .. phi_p of `vecm_to_var`."""
+    # gamma_p is -0.0: x + (-0.0) is x and (-0.0) - x is -x, bit for bit.
+    g = (*gamma, np.full_like(pi, -0.0))
+    return (np.eye(len(pi)) + pi + g[0], *(g[k] - g[k - 1] for k in range(1, len(g))))
+
+
 def vecm_to_var(model: VecmModel) -> VarModel:
     """Exact levels-VAR representation of an error-correction model.
 
     phi_1 = I + Pi + gamma_1 and phi_k = gamma_k - gamma_{k-1} for
     2 <= k <= p, with gamma_p = 0 (so phi_1 = I + Pi at p = 1).
     """
-    d, p = model.d, model.p
-    # gamma_p is -0.0: x + (-0.0) is x and (-0.0) - x is -x, bit for bit.
-    g = (*model.gamma, np.full((d, d), -0.0))
-    phi = (np.eye(d) + model.pi + g[0], *(g[k] - g[k - 1] for k in range(1, p)))
+    phi = _levels_phi(model.pi, model.gamma)
     return VarModel(
         phi=phi, psi=model.psi.copy(), det=model.det, resid_cov=model.resid_cov.copy()
     )
