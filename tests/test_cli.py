@@ -276,8 +276,14 @@ def test_combine_identical_models_degenerate_dm(tmp_path, sim_spec_file, capsys)
         ("backtest", ["--p", "1,x"], "expected comma-separated integers, got '1,x'"),
         ("combine", ["--model-a", "1,2,3", "--model-b", "1,0", "--window", "96"],
          "expected 'p,r', got '1,2,3'"),
+        ("backtest", ["--window", "96,,192"],
+         "expected comma-separated integers, got '96,,192'"),
+        ("backtest", ["--p", "2,"], "expected comma-separated integers, got '2,'"),
+        ("combine", ["--model-a", "4,,3", "--model-b", "1,0", "--window", "96"],
+         "expected comma-separated integers, got '4,,3'"),
     ],
-    ids=["backtest-list", "combine-pair"],
+    ids=["backtest-list", "combine-pair", "backtest-empty-entry", "backtest-trailing-comma",
+         "combine-pair-empty-entry"],
 )
 def test_malformed_integer_flag_is_a_usage_error(sim_spec_file, capsys, command, flags,
                                                  message):
