@@ -96,7 +96,7 @@ class VecmModel:
 
 
 def _johansen_eigen(
-    r0: np.ndarray, r1: np.ndarray, eff: int
+    r0: np.ndarray, r1: np.ndarray, eff: int, ss: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve lambda S11 v = S10 S00^-1 S01 v, S_ij = r_i' r_j / eff.
 
@@ -107,16 +107,19 @@ def _johansen_eigen(
     (clipped into [0, 1)) and the eigenvector columns.
 
     T' T is r' r, so t_ii^2 is the part of column i's sum of squares that
-    the columns before it leave unexplained. A zero column, or a t_ii^2
-    below 1/`CONDITION_LIMIT` of its column's sum of squares, marks a
-    series that is a linear combination of the others up to rounding, so
-    S11 (checked first) or S00 is rejected as singular, whatever the scale
-    of each series. That and an SVD that does not converge raise
+    z and the columns before it leave unexplained. ``ss`` holds each
+    column's sum of squares before z was concentrated out (the Y_{t-1} row,
+    then the dY_t row). A zero column, or a t_ii^2 below 1/`CONDITION_LIMIT`
+    of its entry of ``ss``, marks a series that z and the others explain up
+    to rounding, so S11 (checked first) or S00 is rejected as singular,
+    whatever the scale or level of each series. (Measured against r's own
+    sum of squares, a column that z explains, such as a series constant
+    over the window beside the constant term, would pass: what is left of
+    it is rounding noise.) That and an SVD that does not converge raise
     `SingularMomentError`.
     """
     pair = np.stack((r1, r0))
     (q1, q0), t = np.linalg.qr(pair)
-    ss = (pair * pair).sum(axis=1)
     t_diag = np.diagonal(t, axis1=1, axis2=2)
     ok = np.all((ss > 0.0) & (t_diag**2 * CONDITION_LIMIT >= ss), axis=1)
     if not ok.all():
@@ -176,7 +179,10 @@ def fit_vecm(
     min(n_obs - p, columns) rows, and keeps the solution, singular values
     and residual cross-products of the same regression on the tall data.
     Fits on the same window object and order (the ranks of one grid
-    cell's origin) reuse one R factor, kept while that object lives.
+    cell's origin) reuse one R factor, kept while that object lives. Under
+    a constant, Y_{t-1} is measured from the window's last reading, so a
+    constant offset on every reading changes no failure and moves the
+    estimates only by rounding; without one (det none) it is not.
 
     The eigenvalues are computed for every rank (including r = 0, where
     they are purely diagnostic); if S00 or S11 is degenerate the fit
@@ -213,9 +219,10 @@ def fit_vecm(
     r0 = r_dy - r_z @ np.linalg.lstsq(r_z, r_dy, rcond=None)[0]
     r1 = r_y1 - r_z @ np.linalg.lstsq(r_z, r_y1, rcond=None)[0]
 
+    ss = np.stack(((r_y1 * r_y1).sum(axis=0), (r_dy * r_dy).sum(axis=0)))
     eigenvalues: np.ndarray | None
     try:
-        eigenvalues, vectors = _johansen_eigen(r0, r1, eff)
+        eigenvalues, vectors = _johansen_eigen(r0, r1, eff, ss)
     except SingularMomentError:
         if r > 0:
             raise

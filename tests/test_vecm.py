@@ -302,6 +302,22 @@ def test_ranks_inside_unit_eigenvalues_are_refused():
         assert np.abs(moved - base).max() <= 1e-10 * np.abs(base).max()
 
 
+def test_a_series_the_constant_explains_is_singular_at_any_level():
+    # Region 1 holds one value until the last reading, so the constant
+    # explains its Y_{t-1} and S11 is singular. Shifted, what the
+    # concentration leaves of that column is rounding noise, which must not
+    # pass for a series: the check measures it against the column itself.
+    values = generate(cointegrated_spec(d=2, r_true=1, n_obs=64, seed=0)).values.copy()
+    values[:, 1] = 0.0
+    values[-1, 1] = 0.3
+    for c in (0.0, 385.7, 1e5):
+        panel = TimeSeriesPanel.from_values(values + c)
+        for r in (1, 2):
+            with pytest.raises(SingularMomentError, match="S11"):
+                fit_vecm(panel, p=1, r=r, det=CONST)
+        assert fit_vecm(panel, p=1, r=0, det=CONST).eigenvalues is None
+
+
 def test_ranks_share_a_window_factor_and_a_new_window_gets_its_own():
     # Fits on one window object and order reuse its R factor, which lives
     # exactly as long as that object. A different window of the same shape
