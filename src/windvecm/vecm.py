@@ -182,7 +182,7 @@ def fit_vecm(
     cell's origin) reuse one R factor, kept while that object lives. Under
     a constant, Y_{t-1} is measured from the window's last reading, so a
     constant offset on every reading changes no failure and moves the
-    estimates only by rounding; without one (det none) it is not.
+    estimates only by rounding; det none makes no such promise.
 
     The eigenvalues are computed for every rank (including r = 0, where
     they are purely diagnostic); if S00 or S11 is degenerate the fit

@@ -242,11 +242,12 @@ def grid_panels(draw):
     r = 0, p = 2 fits into `SingularDesignError`).
 
     Bounds, each about ten times the largest deviation measured over 300
-    draws per transform (250 collinear): clean 2.7e-12; floored 1.6e-9,
-    where a short window can fit an explosive recursion (MAE up to 3e5 on
-    readings below 30) that amplifies rounding; collinear 2.1e-2, where the
-    accepted r = 0, p = 2 fits regress on differences collinear to about
-    1e-6 (condition near 1e6) and so carry about cond**2 * 2**-53 of it.
+    draws per transform (250 collinear): clean 2.7e-12; floored 1.6e-9 (a
+    hypothesis find; 1.2e-9 over the 300), where a short window can fit an
+    explosive recursion (MAE up to 3e5 on readings below 30) that amplifies
+    rounding; collinear 2.1e-2, where the accepted r = 0, p = 2 fits
+    regress on differences collinear to about 1e-6 (condition near 1e6)
+    and so carry about cond**2 * 2**-53 of it.
     """
     kind = draw(st.sampled_from(["clean", "floored", "collinear"]))
     d = draw(st.integers(2 if kind == "collinear" else 1, 3))
