@@ -1,4 +1,4 @@
-"""Test-session set-up: ``HYPOTHESIS_PROFILE=ci`` makes property tests draw
+"""Pytest set-up: ``HYPOTHESIS_PROFILE=ci`` makes property tests draw
 the same examples on every run, so a failure in CI reproduces."""
 
 import os
