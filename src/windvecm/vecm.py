@@ -133,26 +133,35 @@ def _johansen_eigen(
     return lam, np.sqrt(eff) * np.linalg.solve(t[0], vt.T)
 
 
-#: Per window object: (p, det) -> (eff, R). An entry dies with its window.
+#: Per window object: (p, det) -> (eff, R, ss). An entry dies with its window.
 _factors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _design_r(
     panel: TimeSeriesPanel, p: int, det: DeterministicSpec
-) -> tuple[int, np.ndarray]:
-    """Rows and read-only R factor of the VECM design [z | Y_{t-1} | dY_t].
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Rows, R factor and column sums of squares of the VECM design.
 
-    Every rank fitted on one window and order solves on this factor, so it
-    is kept for as long as the window object lives (a panel hashes by
-    identity, and its values are read-only). A call that raises, such as
-    `InsufficientDataError` on a short window, is not kept.
+    The design is [z | Y_{t-1} - c | dY_t], c the window's last reading under
+    a constant (z's last column) and 0 otherwise, so that its condition
+    checks do not see the data's level. ``ss`` holds the sums of squares of
+    its Y_{t-1} - c columns (row 0) and dY_t columns (row 1). Every rank
+    fitted on one window and order uses these, so they are kept, read-only,
+    while the window object lives (a panel hashes by identity, and its
+    values are read-only); a call that raises, such as
+    `InsufficientDataError` on a short window, keeps nothing.
     """
     key = (p, det)
     if key not in _factors.get(panel, {}):
+        d = panel.d
         a = build_design(panel, p, det, levels=False)
+        if det is DeterministicSpec.CONSTANT:
+            a[:, -2 * d : -d] -= panel.values[-1]
         qr_r = np.linalg.qr(a, mode="r")
+        ss = (qr_r[:, -2 * d :] ** 2).sum(axis=0).reshape(2, d)
         qr_r.setflags(write=False)
-        _factors.setdefault(panel, {})[key] = a.shape[0], qr_r
+        ss.setflags(write=False)
+        _factors.setdefault(panel, {})[key] = a.shape[0], qr_r, ss
     return _factors[panel][key]
 
 
@@ -174,15 +183,15 @@ def fit_vecm(
     eigenvalues (beta' S11 beta = I); (v)-(vi) alpha, gamma, psi by least
     squares of dY_t on [lagged differences, det, beta' Y_{t-1}].
 
-    One QR factorization [z | Y_{t-1} | dY_t] = QR serves all three
+    One QR factorization [z | Y_{t-1} - c | dY_t] = QR serves all three
     regressions: each runs on R's column blocks, which have
     min(n_obs - p, columns) rows, and keeps the solution, singular values
     and residual cross-products of the same regression on the tall data.
     Fits on the same window object and order (the ranks of one grid
     cell's origin) reuse one R factor, kept while that object lives. Under
-    a constant, Y_{t-1} is measured from the window's last reading, so a
-    constant offset on every reading changes no failure and moves the
-    estimates only by rounding; det none makes no such promise.
+    a constant, c is the window's last reading, so a constant offset on
+    every reading changes no failure and moves the estimates only by
+    rounding; under det none c is 0, and no such promise is made.
 
     The eigenvalues are computed for every rank (including r = 0, where
     they are purely diagnostic); if S00 or S11 is degenerate the fit
@@ -196,7 +205,7 @@ def fit_vecm(
     d = panel.d
     if not 0 <= r <= d:
         raise InvalidRankError(f"rank {r} outside [0, {d}]")
-    eff, qr_r = _design_r(panel, p, det)
+    eff, qr_r, ss = _design_r(panel, p, det)
     n_sr = d * (p - 1)
     k = n_sr + det.n_terms
     n_unit = 2 * d - (eff - k)
@@ -205,21 +214,13 @@ def fit_vecm(
             f"rank {r} is not identified: {n_unit} eigenvalues equal 1 on "
             f"{eff - k} rows beyond the short-run regressors (< 2d = {2 * d})"
         )
-    # Every regression below runs on the R factor of A = [z | Y_{t-1} | dY_t].
+    # Every regression below runs on the R factor of A = [z | Y_{t-1} - c | dY_t].
     r_z, r_y1, r_dy = qr_r[:, :k], qr_r[:, k : k + d], qr_r[:, k + d :]
-    # Under a constant (z's last column), Y_{t-1} - c for the window's last
-    # reading c gives the same fit, but one whose condition checks do not see
-    # the data's level; psi takes alpha beta' c back below.
-    c = np.zeros(d)
-    if det is DeterministicSpec.CONSTANT:
-        c = panel.values[-1]
-        r_y1 = r_y1 - qr_r[:, k - 1 : k] * c
     # Residuals of the concentration step. The projection onto span(z) is
     # well defined even for rank-deficient z, so no condition guard here.
     r0 = r_dy - r_z @ np.linalg.lstsq(r_z, r_dy, rcond=None)[0]
     r1 = r_y1 - r_z @ np.linalg.lstsq(r_z, r_y1, rcond=None)[0]
 
-    ss = np.stack(((r_y1 * r_y1).sum(axis=0), (r_dy * r_dy).sum(axis=0)))
     eigenvalues: np.ndarray | None
     try:
         eigenvalues, vectors = _johansen_eigen(r0, r1, eff, ss)
@@ -232,7 +233,10 @@ def fit_vecm(
     b, resid = solve_ls(np.hstack((r_z, r_y1 @ beta)), r_dy)
     gamma = tuple(b[j * d : (j + 1) * d, :].T for j in range(p - 1))
     alpha = b[k:, :].T
-    psi = b[n_sr:k, :].T - (alpha @ (beta.T @ c))[:, None]
+    psi = b[n_sr:k, :].T
+    if det is DeterministicSpec.CONSTANT:
+        # the constant absorbed -alpha beta' c; psi takes it back
+        psi = psi - (alpha @ (beta.T @ panel.values[-1]))[:, None]
     resid_cov = resid.T @ resid / eff
     return VecmModel(
         alpha=alpha,

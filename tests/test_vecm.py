@@ -318,34 +318,46 @@ def test_a_series_the_constant_explains_is_singular_at_any_level():
         assert fit_vecm(panel, p=1, r=0, det=CONST).eigenvalues is None
 
 
-def test_ranks_share_a_window_factor_and_a_new_window_gets_its_own():
+def test_ranks_share_a_window_factor_and_a_new_window_gets_its_own(monkeypatch):
     # Fits on one window object and order reuse its R factor, which lives
     # exactly as long as that object. A different window of the same shape
     # and order must not see that factor, and no fit may write to it.
     panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=400, seed=6))
     a, b = panel.window(0, 200), panel.window(100, 300)
     fresh_b = TimeSeriesPanel(b.values.copy(), b.timestamps, b.labels)
+    built = []
+
+    def counting_build_design(window, *args, **kwargs):
+        built.append(window)
+        return build_design(window, *args, **kwargs)
+
+    monkeypatch.setattr(vecm, "build_design", counting_build_design)
 
     def fits(window):
         return [fit_vecm(window, p=2, r=r, det=CONST) for r in range(4)]
 
     fits(a)
     got = [fit_vecm(b, p=2, r=0, det=CONST)]
-    _, factor = vecm._design_r(b, 2, CONST)
+    assert (2, CONST) in vecm._factors[b]
+    _, factor, ss = vecm._design_r(b, 2, CONST)
     got += [fit_vecm(b, p=2, r=r, det=CONST) for r in range(1, 4)]
+    assert built == [a, b]
     assert vecm._design_r(b, 2, CONST)[1] is factor
     assert vecm._design_r(a, 2, CONST)[1] is not factor
-    assert not factor.flags.writeable
+    assert not factor.flags.writeable and not ss.flags.writeable
+    # Under a constant the design measures Y_{t-1} from the last reading.
     design = build_design(fresh_b, 2, CONST, levels=False)
+    design[:, 4:7] -= fresh_b.values[-1]
     assert np.array_equal(factor, np.linalg.qr(design, mode="r"))
     for model, want in zip(got, fits(fresh_b), strict=True):
         for name in ("alpha", "beta", "psi", "eigenvalues", "resid_cov"):
             assert np.array_equal(getattr(model, name), getattr(want, name))
         assert all(np.array_equal(g, w) for g, w in zip(model.gamma, want.gamma, strict=True))
+    assert built == [a, b, fresh_b]
 
     gc.collect()
     n_windows, factor_ref = len(vecm._factors), weakref.ref(factor)
-    del b, factor
+    del b, factor, built[:]
     gc.collect()
     assert factor_ref() is None
     assert len(vecm._factors) == n_windows - 1
