@@ -1,7 +1,6 @@
-"""Pytest set-up: ``HYPOTHESIS_PROFILE=ci`` makes property tests draw
-the same examples on every run, so a failure in CI reproduces."""
-
-import os
+"""Pytest set-up: a hypothesis profile ``ci`` that draws the same examples
+on every run, so a property that fails in CI fails the same way on a rerun
+(``pytest --hypothesis-profile=ci``)."""
 
 try:
     from hypothesis import settings
@@ -9,5 +8,3 @@ except ImportError:  # the property modules skip themselves
     pass
 else:
     settings.register_profile("ci", derandomize=True, deadline=None)
-    if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-        settings.load_profile("ci")
