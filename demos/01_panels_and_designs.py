@@ -1,9 +1,9 @@
-"""Panels, differencing, and regression designs.
+"""Panels, differencing, and the regression design.
 
 The TimeSeriesPanel is the one data container everything else consumes: a
 dense (n_obs x d) matrix on a strictly uniform clock. This walkthrough
-builds one by hand, differences it, and inspects the design arrays the
-estimators are fitted on.
+builds one by hand, differences it, and inspects the one design array
+every estimator is fitted on.
 """
 
 import numpy as np
@@ -40,29 +40,27 @@ print("\nfirst differences:")
 print(diffed.values)
 
 # ---------------------------------------------------------------------------
-# The design arrays for lag order p = 1
+# The design array for lag order p = 1
 #
-# Each fit solves on one array [lags | deterministic terms | targets], row i
-# at time index t = p + i. The VAR stacks levels lag-major and ends with its
-# response Y_t; the VECM stacks lagged differences (none at p = 1) and ends
-# with [Y_{t-1} | dY_t]. The deterministic term is a constant column here.
-# A fit needs n_obs - p >= d*p + m + 1 rows: 4 for this panel at p = 1.
+# Every fit, the VECM at any rank and the levels VAR alike, solves on one
+# array [lagged differences | deterministic terms | Y_{t-1} | dY_t], row i at
+# time index t = p + i. At p = 1 there are no lagged differences, and the
+# deterministic term is a constant column here. The levels VAR is the
+# regression of dY_t on all the other columns. A fit needs
+# n_obs - p >= d*p + m + 1 rows: 4 for this panel at p = 1.
 # ---------------------------------------------------------------------------
-var_design = build_design(panel, p=1, det=DeterministicSpec.CONSTANT, levels=True)
-print("\neffective rows:", var_design.shape[0])
-print("VAR design [Y_t-1 | 1 | Y_t]:")
-print(var_design)
-vecm_design = build_design(panel, p=1, det=DeterministicSpec.CONSTANT, levels=False)
-print("VECM design [1 | Y_t-1 | dY_t]:")
-print(vecm_design)
+design = build_design(panel, p=1, det=DeterministicSpec.CONSTANT)
+print("\neffective rows:", design.shape[0])
+print("design [1 | Y_t-1 | dY_t]:")
+print(design)
 
-# The identity dY_t = Y_t - Y_{t-1} holds row by row, exactly:
-y_t, y_lag = var_design[:, -2:], var_design[:, :2]
-assert np.array_equal(vecm_design[:, -2:], y_t - y_lag)
+# Row by row, exactly: the level block is Y_{t-1} and dY_t = Y_t - Y_{t-1}.
+assert np.array_equal(design[:, 1:3], values[:-1])
+assert np.array_equal(design[:, -2:], values[1:] - values[:-1])
 print("\ndifference identity holds exactly")
 
 # One row fewer than the rule asks for is refused:
 try:
-    build_design(panel.window(0, 4), p=1, det=DeterministicSpec.CONSTANT, levels=True)
+    build_design(panel.window(0, 4), p=1, det=DeterministicSpec.CONSTANT)
 except InsufficientDataError as err:
     print("too short:", err)

@@ -59,8 +59,8 @@ from .simulate import (
     spec_from_json,
     spec_to_json,
 )
-from .var import VarModel, companion_matrix, fit_var, forecast_var
-from .vecm import VecmModel, fit_vecm, forecast_vecm, var_to_vecm, vecm_to_var
+from .var import VarModel, companion_matrix, forecast_var
+from .vecm import VecmModel, fit_var, fit_vecm, forecast_vecm, var_to_vecm, vecm_to_var
 
 __version__ = "0.1.0"
 

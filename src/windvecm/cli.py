@@ -30,8 +30,7 @@ from .metrics import dm_test
 from .model_io import write_model
 from .panel import DeterministicSpec, TimeSeriesPanel
 from .simulate import generate, spec_from_json
-from .var import fit_var
-from .vecm import fit_vecm
+from .vecm import fit_var, fit_vecm
 
 
 def _int_list(text: str) -> tuple[int, ...]:

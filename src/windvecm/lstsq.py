@@ -1,6 +1,6 @@
 """Shared multivariate least-squares solve with a condition guard.
 
-Every coefficient estimate (the VAR fit and the final regression of the VECM
+Every coefficient estimate (the final regression of a VECM or levels-VAR
 fit) routes through :func:`solve_ls` so that near-singular designs fail
 identically everywhere: a rank-revealing (SVD) solve is used, and when the
 condition number exceeds `CONDITION_LIMIT` (1e10) the solve is rejected

@@ -147,20 +147,17 @@ def build_design(
     panel: TimeSeriesPanel,
     p: int,
     det: DeterministicSpec = DeterministicSpec.NONE,
-    *,
-    levels: bool,
 ) -> np.ndarray:
-    """The one new array a fit solves on, ``[lags | det | targets]``.
+    """The one new array a fit solves on, ``[dY lags | det | Y_{t-1} | dY_t]``.
 
-    Row i holds time t = p + i of ``panel``. With ``levels`` (the VAR) the
-    array is ``[Y_{t-1} | ... | Y_{t-p} | det | Y_t]``; otherwise (the VECM)
-    it is ``[dY_{t-1} | ... | dY_{t-p+1} | det | Y_{t-1} | dY_t]``. The
-    deterministic terms are one constant column for
+    Row i holds time t = p + i of ``panel``: ``[dY_{t-1} | ... |
+    dY_{t-p+1} | det | Y_{t-1} | dY_t]`` with dY_t = Y_t - Y_{t-1}. Every fit
+    uses this one layout; a levels VAR(p) is its regression of dY_t on all
+    the other columns. The deterministic terms are one constant column for
     `DeterministicSpec.CONSTANT` and none otherwise.
 
     Requires p >= 1 and n_obs - p >= d*p + m + 1 rows (m deterministic
-    terms), one more than the regressors of either fit's coefficient
-    regression.
+    terms), one more than the regressors of the full-rank regression.
     """
     if p < 1:
         raise InvalidInputError(f"lag order must be >= 1, got {p}")
@@ -171,21 +168,14 @@ def build_design(
         raise InsufficientDataError(
             f"need n_obs - p >= {need} rows for d={d}, p={p}, m={m}; have {max(eff, 0)}"
         )
-    n_lags = p if levels else p - 1
-    k = d * n_lags + m
+    k = d * (p - 1) + m
     # column-major, the layout LAPACK takes without a copy
-    out = np.empty((eff, k + (d if levels else 2 * d)), order="F")
-    for j in range(1, n_lags + 1):
+    out = np.empty((eff, k + 2 * d), order="F")
+    for j in range(1, p):
         block = out[:, (j - 1) * d : j * d]
-        if levels:
-            block[:] = y[p - j : n - j]
-        else:
-            # dY_{t-j} = Y_{t-j} - Y_{t-j-1}
-            np.subtract(y[p - j : n - j], y[p - j - 1 : n - j - 1], out=block)
-    out[:, d * n_lags : k] = 1.0
-    if levels:
-        out[:, k:] = y[p:]
-    else:
-        out[:, k : k + d] = y[p - 1 : -1]
-        np.subtract(y[p:], y[p - 1 : -1], out=out[:, k + d :])
+        # dY_{t-j} = Y_{t-j} - Y_{t-j-1}
+        np.subtract(y[p - j : n - j], y[p - j - 1 : n - j - 1], out=block)
+    out[:, k - m : k] = 1.0
+    out[:, k : k + d] = y[p - 1 : -1]
+    np.subtract(y[p:], y[p - 1 : -1], out=out[:, k + d :])
     return out

@@ -1,10 +1,8 @@
-"""VAR(p) estimation by multivariate least squares and recursive forecasting.
+"""The levels VAR(p) model and the recursive forecast every model uses.
 
-This is the workhorse behind both the full-rank (levels VAR) and zero-rank
-(differenced VAR) limit cases of the error-correction models, so the fitting
-and forecasting paths here are deliberately free of any special-casing: the
-same recursion produces the persistence path when the estimated dynamics are
-the identity.
+The recursion is deliberately free of any special-casing: it produces the
+persistence path when the dynamics are the identity. `windvecm.vecm.fit_var`
+estimates the model.
 """
 
 from __future__ import annotations
@@ -13,11 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._blas import one_blas_thread
 from .errors import InsufficientHistoryError, InvalidInputError, NonFiniteForecastError
-from .lstsq import solve_ls
 from .metrics import ForecastPath
-from .panel import MAX_ABS_VALUE, DeterministicSpec, TimeSeriesPanel, build_design
+from .panel import MAX_ABS_VALUE, DeterministicSpec, TimeSeriesPanel
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,27 +94,6 @@ def _recurse(phi: tuple[np.ndarray, ...], start, add: np.ndarray) -> np.ndarray:
         for h in range(len(add)):
             np.add(coef @ path[h : h + p].ravel(), add[h], out=path[p + h])
     return path[p:]
-
-
-@one_blas_thread()
-def fit_var(
-    panel: TimeSeriesPanel,
-    p: int,
-    det: DeterministicSpec = DeterministicSpec.CONSTANT,
-) -> VarModel:
-    """Estimate a VAR(p) equation-by-equation by least squares.
-
-    Requires the rows `build_design` asks for. Raises `SingularDesignError`
-    (with the condition diagnostic) on rank-deficient designs rather than
-    regularizing.
-    """
-    a = build_design(panel, p, det, levels=True)
-    d = panel.d
-    b, resid = solve_ls(a[:, :-d], a[:, -d:])
-    phi = tuple(b[k * d : (k + 1) * d, :].T for k in range(p))
-    psi = b[d * p :, :].T
-    resid_cov = resid.T @ resid / a.shape[0]
-    return VarModel(phi=phi, psi=psi, det=det, resid_cov=resid_cov)
 
 
 def forecast_var(

@@ -15,7 +15,7 @@ SVD of their QR factors' Q0' Q1 (Doornik & O'Brien, 2002).
 
 ``r = d`` leaves Pi unrestricted (equivalent to a levels VAR(p)); ``r = 0``
 drops the level term entirely (a VAR(p-1) on differences). Both limits run
-through the same code path.
+through the same code path; `fit_var` is its final regression at r = d, beta = I.
 """
 
 from __future__ import annotations
@@ -140,21 +140,21 @@ _factors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _design_r(
     panel: TimeSeriesPanel, p: int, det: DeterministicSpec
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """Rows, R factor and column sums of squares of the VECM design.
+    """Rows, R factor and column sums of squares of the design.
 
     The design is [z | Y_{t-1} - c | dY_t], c the window's last reading under
     a constant (z's last column) and 0 otherwise, so that its condition
     checks do not see the data's level. ``ss`` holds the sums of squares of
-    its Y_{t-1} - c columns (row 0) and dY_t columns (row 1). Every rank
-    fitted on one window and order uses these, so they are kept, read-only,
-    while the window object lives (a panel hashes by identity, and its
-    values are read-only); a call that raises, such as
-    `InsufficientDataError` on a short window, keeps nothing.
+    its Y_{t-1} - c columns (row 0) and dY_t columns (row 1). Every fit on
+    one window and order (each rank, and the levels VAR) uses these, so
+    they are kept, read-only, while the window object lives (a panel
+    hashes by identity, and its values are read-only); a call that raises,
+    such as `InsufficientDataError` on a short window, keeps nothing.
     """
     key = (p, det)
     if key not in _factors.get(panel, {}):
         d = panel.d
-        a = build_design(panel, p, det, levels=False)
+        a = build_design(panel, p, det)
         if det is DeterministicSpec.CONSTANT:
             a[:, -2 * d : -d] -= panel.values[-1]
         qr_r = np.linalg.qr(a, mode="r")
@@ -163,6 +163,30 @@ def _design_r(
         ss.setflags(write=False)
         _factors.setdefault(panel, {})[key] = a.shape[0], qr_r, ss
     return _factors[panel][key]
+
+
+def _given_beta(
+    panel: TimeSeriesPanel,
+    p: int,
+    det: DeterministicSpec,
+    beta: np.ndarray,
+    eff: int,
+    qr_r: np.ndarray,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """alpha, gamma, psi and resid_cov of the final regression, dY_t on
+    [z | beta' (Y_{t-1} - c)], run on the R factor ``qr_r`` of `_design_r`."""
+    d = panel.d
+    n_sr = d * (p - 1)
+    k = n_sr + det.n_terms
+    r_z, r_y1, r_dy = qr_r[:, :k], qr_r[:, k : k + d], qr_r[:, k + d :]
+    b, resid = solve_ls(np.hstack((r_z, r_y1 @ beta)), r_dy)
+    gamma = tuple(b[j * d : (j + 1) * d, :].T for j in range(p - 1))
+    alpha = b[k:, :].T
+    psi = b[n_sr:k, :].T
+    if det is DeterministicSpec.CONSTANT:
+        # the constant absorbed -alpha beta' c; psi takes it back
+        psi = psi - (alpha @ (beta.T @ panel.values[-1]))[:, None]
+    return alpha, gamma, psi, resid.T @ resid / eff
 
 
 @one_blas_thread()
@@ -206,8 +230,7 @@ def fit_vecm(
     if not 0 <= r <= d:
         raise InvalidRankError(f"rank {r} outside [0, {d}]")
     eff, qr_r, ss = _design_r(panel, p, det)
-    n_sr = d * (p - 1)
-    k = n_sr + det.n_terms
+    k = d * (p - 1) + det.n_terms
     n_unit = 2 * d - (eff - k)
     if 0 < r < n_unit:
         raise SingularMomentError(
@@ -229,15 +252,7 @@ def fit_vecm(
             raise
         eigenvalues, vectors = None, np.zeros((d, d))
     beta = vectors[:, :r].copy()
-
-    b, resid = solve_ls(np.hstack((r_z, r_y1 @ beta)), r_dy)
-    gamma = tuple(b[j * d : (j + 1) * d, :].T for j in range(p - 1))
-    alpha = b[k:, :].T
-    psi = b[n_sr:k, :].T
-    if det is DeterministicSpec.CONSTANT:
-        # the constant absorbed -alpha beta' c; psi takes it back
-        psi = psi - (alpha @ (beta.T @ panel.values[-1]))[:, None]
-    resid_cov = resid.T @ resid / eff
+    alpha, gamma, psi, resid_cov = _given_beta(panel, p, det, beta, eff, qr_r)
     return VecmModel(
         alpha=alpha,
         beta=beta,
@@ -247,6 +262,25 @@ def fit_vecm(
         eigenvalues=eigenvalues,
         resid_cov=resid_cov,
     )
+
+
+@one_blas_thread()
+def fit_var(
+    panel: TimeSeriesPanel,
+    p: int,
+    det: DeterministicSpec = DeterministicSpec.CONSTANT,
+) -> VarModel:
+    """Levels VAR(p): `fit_vecm`'s final regression at r = d with beta = I.
+
+    Raises `SingularDesignError` (with the condition diagnostic) on a
+    rank-deficient design rather than regularizing. Under a constant,
+    Y_{t-1} is measured from the window's last reading: a level offset
+    changes no failure, and a last reading far outside the others (such as
+    one at the value bound) is refused as singular.
+    """
+    eff, qr_r, _ = _design_r(panel, p, det)
+    pi, gamma, psi, resid_cov = _given_beta(panel, p, det, np.eye(panel.d), eff, qr_r)
+    return VarModel(phi=_levels_phi(pi, gamma), psi=psi, det=det, resid_cov=resid_cov)
 
 
 def _levels_phi(pi: np.ndarray, gamma: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:

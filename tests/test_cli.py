@@ -582,10 +582,12 @@ def test_backtest_output_is_pinned(tmp_path, sim_spec_file, capsys, case, flags)
 
 
 @pytest.mark.parametrize("model", [["--rank", "0"], []], ids=["vecm-r0", "var"])
-def test_fit_writes_no_model_file_with_non_finite_values(tmp_path, model):
-    # A reading at the value bound in the last row is only ever a response;
-    # its squared residual stays finite, so the model file is written and
-    # reads back with a finite residual covariance.
+def test_fit_writes_no_model_file_with_non_finite_values(tmp_path, capsys, model):
+    # A reading at the value bound in the last row is only ever a response
+    # of the r = 0 fit; its squared residual stays finite, so the model file
+    # is written and reads back with a finite residual covariance. The
+    # levels VAR measures Y_{t-1} from that reading, which leaves those
+    # columns nearly constant: the fit is refused and no file is written.
     from windvecm import TimeSeriesPanel, save_wide
 
     panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=700, seed=3))
@@ -597,6 +599,10 @@ def test_fit_writes_no_model_file_with_non_finite_values(tmp_path, model):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["fit", "--data", str(data), "--p", "1", *model, "--out", str(out)])
+    if not model:
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith("windvecm: SingularDesignError: ")
+        return
     assert code == 0
     resid_cov = read_model(out).resid_cov
     assert np.all(np.isfinite(resid_cov)) and resid_cov[1, 1] > 1e190

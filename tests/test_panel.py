@@ -61,19 +61,16 @@ def test_second_difference_matches_brute_force():
 
 def test_build_design_p1_shift():
     panel = TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0])
-    # VAR: [Y_{t-1} | Y_t]
-    var = build_design(panel, 1, DeterministicSpec.NONE, levels=True)
-    assert np.array_equal(var, [[1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
-    # VECM: p = 1 without deterministic terms has no short-run regressors,
-    # only the targets [Y_{t-1} | dY_t]
-    vecm = build_design(panel, 1, DeterministicSpec.NONE, levels=False)
+    # p = 1 without deterministic terms has no short-run regressors, only
+    # the targets [Y_{t-1} | dY_t]
+    vecm = build_design(panel, 1, DeterministicSpec.NONE)
     assert np.array_equal(vecm, [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0]])
 
 
 def test_build_design_p2_difference_blocks():
     panel = TimeSeriesPanel.from_values([1.0, 2.0, 4.0, 7.0, 11.0])
     # [dY_{t-1} | Y_{t-1} | dY_t] at t = 2, 3, 4
-    vecm = build_design(panel, 2, DeterministicSpec.NONE, levels=False)
+    vecm = build_design(panel, 2, DeterministicSpec.NONE)
     assert np.array_equal(vecm, [[1.0, 2.0, 2.0], [2.0, 4.0, 3.0], [3.0, 7.0, 4.0]])
 
 
@@ -84,20 +81,13 @@ def test_build_design_rows_align_with_source_panel():
     values = rng.normal(size=(40, 2))
     panel = TimeSeriesPanel.from_values(values)
     for p in (1, 2, 3, 5):
-        levels = build_design(panel, p, DeterministicSpec.CONSTANT, levels=True)
-        diffs = build_design(panel, p, DeterministicSpec.CONSTANT, levels=False)
-        assert levels.shape == (40 - p, 2 * p + 1 + 2)
+        diffs = build_design(panel, p, DeterministicSpec.CONSTANT)
         assert diffs.shape == (40 - p, 2 * (p - 1) + 1 + 4)
-        for x, n_lags in ((levels, p), (diffs, p - 1)):
-            assert np.array_equal(x[:, 2 * n_lags], np.ones(40 - p))
+        assert np.array_equal(diffs[:, 2 * (p - 1)], np.ones(40 - p))
         for i in range(40 - p):
             t = p + i
-            assert np.array_equal(levels[i, -2:], values[t])
             assert np.array_equal(diffs[i, -4:-2], values[t - 1])
             assert np.array_equal(diffs[i, -2:], values[t] - values[t - 1])
-            for k in range(1, p + 1):
-                block = levels[i, (k - 1) * 2 : k * 2]
-                assert np.array_equal(block, values[t - k])
             for k in range(1, p):
                 block = diffs[i, (k - 1) * 2 : k * 2]
                 assert np.array_equal(block, values[t - k] - values[t - k - 1])
@@ -105,48 +95,35 @@ def test_build_design_rows_align_with_source_panel():
 
 def test_design_difference_identity():
     rng = np.random.default_rng(3)
-    panel = TimeSeriesPanel.from_values(rng.normal(size=(30, 3)))
-    levels = build_design(panel, 2, DeterministicSpec.NONE, levels=True)
-    diffs = build_design(panel, 2, DeterministicSpec.NONE, levels=False)
-    response, lagged_level = levels[:, -3:], levels[:, :3]
-    # the VECM targets are exactly [Y_{t-1} | Y_t - Y_{t-1}] of the VAR's
-    # lag-1 group and response, and its short-run block is Y_{t-1} - Y_{t-2}
-    assert np.array_equal(diffs[:, 3:6], lagged_level)
-    assert np.array_equal(diffs[:, 6:], response - lagged_level)
-    assert np.array_equal(diffs[:, :3], levels[:, :3] - levels[:, 3:6])
+    values = rng.normal(size=(30, 3))
+    diffs = build_design(TimeSeriesPanel.from_values(values), 2, DeterministicSpec.NONE)
+    # the targets are exactly [Y_{t-1} | Y_t - Y_{t-1}] and the short-run
+    # block is Y_{t-1} - Y_{t-2}, for t = 2 .. n - 1
+    assert np.array_equal(diffs[:, 3:6], values[1:-1])
+    assert np.array_equal(diffs[:, 6:], values[2:] - values[1:-1])
+    assert np.array_equal(diffs[:, :3], values[1:-1] - values[:-2])
 
 
 def test_region_permutation_permutes_columns():
     rng = np.random.default_rng(9)
     values = rng.normal(size=(25, 3))
     perm = [2, 0, 1]
-    for levels in (True, False):
-        a = build_design(
-            TimeSeriesPanel.from_values(values), 2, DeterministicSpec.NONE, levels=levels
-        )
-        b = build_design(
-            TimeSeriesPanel.from_values(values[:, perm]), 2, DeterministicSpec.NONE,
-            levels=levels,
-        )
-        # every column group is d = 3 wide, lags and targets alike
-        for g in range(a.shape[1] // 3):
-            assert np.array_equal(
-                b[:, g * 3 : (g + 1) * 3], a[:, g * 3 : (g + 1) * 3][:, perm]
-            )
+    a = build_design(TimeSeriesPanel.from_values(values), 2, DeterministicSpec.NONE)
+    b = build_design(TimeSeriesPanel.from_values(values[:, perm]), 2, DeterministicSpec.NONE)
+    # every column group is d = 3 wide, lags and targets alike
+    for g in range(a.shape[1] // 3):
+        assert np.array_equal(b[:, g * 3 : (g + 1) * 3], a[:, g * 3 : (g + 1) * 3][:, perm])
 
 
 def test_build_design_insufficient_rows():
     # d = 1, p = 2, m = 0 needs n_obs - p >= 3 rows
-    for levels in (True, False):
-        with pytest.raises(InsufficientDataError):
-            build_design(TimeSeriesPanel.from_values([1.0, 2.0]), 2, levels=levels)
-        with pytest.raises(InsufficientDataError):
-            build_design(TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0]), 2, levels=levels)
-        assert build_design(
-            TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0, 5.0]), 2, levels=levels
-        ).shape[0] == 3
-        with pytest.raises(InvalidInputError):
-            build_design(TimeSeriesPanel.from_values([1.0, 2.0, 3.0]), 0, levels=levels)
+    with pytest.raises(InsufficientDataError):
+        build_design(TimeSeriesPanel.from_values([1.0, 2.0]), 2)
+    with pytest.raises(InsufficientDataError):
+        build_design(TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0]), 2)
+    assert build_design(TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 4.0, 5.0]), 2).shape[0] == 3
+    with pytest.raises(InvalidInputError):
+        build_design(TimeSeriesPanel.from_values([1.0, 2.0, 3.0]), 0)
 
 
 def test_panel_invariant_validation():
@@ -197,7 +174,7 @@ def test_deterministic_spec_term_counts():
     panel = TimeSeriesPanel.from_values([1.0, 2.0, 3.0, 5.0])
     for det in DeterministicSpec:
         # [det | Y_{t-1} | dY_t]: the deterministic block is n_terms wide
-        vecm = build_design(panel, 1, det, levels=False)
+        vecm = build_design(panel, 1, det)
         assert vecm.shape == (3, det.n_terms + 2)
         assert np.array_equal(vecm[:, : det.n_terms], np.ones((3, det.n_terms)))
         assert np.array_equal(vecm[:, det.n_terms :], [[1.0, 1.0], [2.0, 1.0], [3.0, 2.0]])

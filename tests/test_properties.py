@@ -24,7 +24,9 @@ from windvecm import (
     TimeSeriesPanel,
     VecmModel,
     cointegrated_spec,
+    fit_var,
     fit_vecm,
+    forecast_var,
     forecast_vecm,
     generate,
     load_panel,
@@ -148,19 +150,25 @@ def test_long_wide_and_shuffled_exports_ingest_alike(readings, data):
 
 @st.composite
 def fit_cases(draw):
-    """A simulated panel of d = 2..4 regions and a (p, r, det) to fit on it."""
+    """A simulated panel of d = 2..4 regions and a (p, r, det) to fit on it.
+
+    r is None for the levels VAR.
+    """
     d = draw(st.integers(2, 4))
     r_true = draw(st.integers(1, d - 1))
     seed = draw(st.integers(0, 2**16))
     panel = generate(cointegrated_spec(d=d, r_true=r_true, n_obs=300, seed=seed))
     p = draw(st.integers(1, 3))
-    r = draw(st.integers(0, d))
+    r = draw(st.none() | st.integers(0, d))
     det = draw(st.sampled_from([NONE, CONST]))
     return panel, p, r, det
 
 
 def fit_and_forecast(values, p, r, det, horizon=8):
+    """Forecast of `fit_vecm` at rank r, or of `fit_var` when r is None."""
     panel = TimeSeriesPanel.from_values(values)
+    if r is None:
+        return forecast_var(fit_var(panel, p, det), panel, horizon).values
     model = fit_vecm(panel, p=p, r=r, det=det)
     return forecast_vecm(model, panel, horizon).values
 
@@ -204,7 +212,7 @@ def test_any_basis_of_the_cointegrating_space_forecasts_alike(case, seed):
     # beta -> beta Q with alpha -> alpha Q^-T keeps alpha beta' for any
     # invertible Q, and with it every forecast.
     panel, p, r, det = case
-    r = max(r, 1)
+    r = r or 1
     model = fit_vecm(panel, p=p, r=r, det=det)
     rng = np.random.default_rng(seed)
     q = np.linalg.qr(rng.standard_normal((r, r)))[0] * rng.uniform(0.5, 2.0, size=r)

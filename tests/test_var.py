@@ -15,8 +15,10 @@ from windvecm import (
     TimeSeriesPanel,
     VarModel,
     backtest,
+    cointegrated_spec,
     fit_var,
     forecast_var,
+    generate,
     run_cell,
     var_to_vecm,
 )
@@ -98,6 +100,21 @@ def test_relabeling_invariance():
     a = fit_var(panel, 1, NONE)
     b = fit_var(TimeSeriesPanel.from_values(panel.values[:, perm]), 1, NONE)
     assert np.abs(b.phi[0] - a.phi[0][np.ix_(perm, perm)]).max() <= 1e-10
+
+
+def test_a_level_shift_refuses_no_fit_and_shifts_the_forecasts():
+    # Under a constant the design measures Y_{t-1} from the window's last
+    # reading, so an offset of 1e5 on every reading must not push a fit over
+    # the condition limit. Bound: about 10x the largest deviation, 5.2e-12
+    # of the largest forecast, over 224 fits (T = 96..768, p = 1..7).
+    panel = generate(cointegrated_spec(d=6, r_true=3, n_obs=4000, seed=1))
+    shifted = TimeSeriesPanel.from_values(panel.values + 1e5)
+    for start, T in ((1000, 96), (3200, 384), (2500, 768)):
+        base, moved = panel.window(start, start + T), shifted.window(start, start + T)
+        for p in (1, 4, 7):
+            want = forecast_var(fit_var(base, p, CONST), base, 8).values
+            got = forecast_var(fit_var(moved, p, CONST), moved, 8).values
+            assert np.abs(got - 1e5 - want).max() <= 5e-11 * np.abs(want).max()
 
 
 def test_insufficient_rows_error():
@@ -227,11 +244,15 @@ def test_forecast_h1_equals_fitted_equation():
     panel = simulate_var_panel(model, 200, rng)
     fitted = fit_var(panel, 2, CONST)
     path = forecast_var(fitted, panel, 1)
+    terms = [fitted.phi[k] @ panel.values[-1 - k] for k in range(2)] + [fitted.psi[:, 0]]
     acc = np.zeros(2)
-    for k in range(2):
-        acc += fitted.phi[k] @ panel.values[-1 - k]
-    acc = acc + fitted.psi[:, 0]
-    assert np.array_equal(path.values[0], acc)
+    for term in terms:
+        acc += term
+    # The recursion adds the same products in another order, so the two
+    # differ only by rounding: at most 2 ulps of the largest term over seeds
+    # 0-199, for fitted and true models alike.
+    ulp = np.spacing(np.abs(terms).max())
+    assert np.abs(path.values[0] - acc).max() <= 4 * ulp
 
 
 def test_forecast_history_too_short():

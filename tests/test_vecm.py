@@ -319,9 +319,10 @@ def test_a_series_the_constant_explains_is_singular_at_any_level():
 
 
 def test_ranks_share_a_window_factor_and_a_new_window_gets_its_own(monkeypatch):
-    # Fits on one window object and order reuse its R factor, which lives
-    # exactly as long as that object. A different window of the same shape
-    # and order must not see that factor, and no fit may write to it.
+    # Fits on one window object and order, the levels VAR among them, reuse
+    # its R factor, which lives exactly as long as that object. A different
+    # window of the same shape and order must not see that factor, and no
+    # fit may write to it.
     panel = generate(cointegrated_spec(d=3, r_true=1, n_obs=400, seed=6))
     a, b = panel.window(0, 200), panel.window(100, 300)
     fresh_b = TimeSeriesPanel(b.values.copy(), b.timestamps, b.labels)
@@ -341,18 +342,22 @@ def test_ranks_share_a_window_factor_and_a_new_window_gets_its_own(monkeypatch):
     assert (2, CONST) in vecm._factors[b]
     _, factor, ss = vecm._design_r(b, 2, CONST)
     got += [fit_vecm(b, p=2, r=r, det=CONST) for r in range(1, 4)]
+    var_b = fit_var(b, 2, CONST)
     assert built == [a, b]
     assert vecm._design_r(b, 2, CONST)[1] is factor
     assert vecm._design_r(a, 2, CONST)[1] is not factor
     assert not factor.flags.writeable and not ss.flags.writeable
     # Under a constant the design measures Y_{t-1} from the last reading.
-    design = build_design(fresh_b, 2, CONST, levels=False)
+    design = build_design(fresh_b, 2, CONST)
     design[:, 4:7] -= fresh_b.values[-1]
     assert np.array_equal(factor, np.linalg.qr(design, mode="r"))
     for model, want in zip(got, fits(fresh_b), strict=True):
         for name in ("alpha", "beta", "psi", "eigenvalues", "resid_cov"):
             assert np.array_equal(getattr(model, name), getattr(want, name))
         assert all(np.array_equal(g, w) for g, w in zip(model.gamma, want.gamma, strict=True))
+    want_var = fit_var(fresh_b, 2, CONST)
+    assert all(np.array_equal(g, w) for g, w in zip(var_b.phi, want_var.phi, strict=True))
+    assert np.array_equal(var_b.psi, want_var.psi)
     assert built == [a, b, fresh_b]
 
     gc.collect()
